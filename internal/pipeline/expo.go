@@ -9,104 +9,33 @@ import (
 )
 
 // ContentType is the Prometheus text exposition content type served by
-// the exposition sink's HTTP handler.
+// the exposition page's HTTP handler.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Exposition renders samples in the Prometheus text exposition format
 // (version 0.0.4): one HELP/TYPE header per family followed by its
-// samples, labels escaped per the exposition rules.
-//
-// It serves two modes at once. As a scrape-time gatherer host, registered
-// Collectors are run on every WriteTo, so the page always shows live
-// values — there is no store to drift out of sync. As a router Sink, each
-// pushed sample updates a last-value series store rendered after the
-// gathered families; pushed families should be declared with Register so
-// they carry help text, and embedders route disjoint families through the
-// two modes (a family both gathered and pushed would render twice).
+// samples, labels escaped per the exposition rules. Registered Collectors
+// are gathered on every WriteTo, so the page always shows live values —
+// there is no store to drift out of sync.
 type Exposition struct {
-	mu sync.Mutex
-
+	mu        sync.Mutex
 	gatherers []Collector
 	scratch   []Sample
-
-	families    map[string]MetricFamily
-	familyOrder []string
-	series      map[string]*storedSeries
-	seriesOrder []string
-}
-
-type storedSeries struct {
-	sample Sample
 }
 
 // NewExposition returns an empty exposition page.
-func NewExposition() *Exposition {
-	return &Exposition{
-		families: make(map[string]MetricFamily),
-		series:   make(map[string]*storedSeries),
-	}
-}
+func NewExposition() *Exposition { return &Exposition{} }
 
-// AddGatherer registers a collector run live on every render, before any
-// pushed series. Gatherers render in registration order.
+// AddGatherer registers a collector run live on every render. Gatherers
+// render in registration order.
 func (e *Exposition) AddGatherer(c Collector) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.gatherers = append(e.gatherers, c)
 }
 
-// Register declares a family for pushed samples, so the store renders it
-// with help text and the right type even before a sample arrives.
-func (e *Exposition) Register(f MetricFamily) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.register(f)
-}
-
-func (e *Exposition) register(f MetricFamily) {
-	if _, ok := e.families[f.Name]; !ok {
-		e.familyOrder = append(e.familyOrder, f.Name)
-	}
-	e.families[f.Name] = f
-}
-
-// Write implements Sink: each sample upserts its series in the last-value
-// store. Unregistered families are auto-registered without help text.
-func (e *Exposition) Write(batch []Sample) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, s := range batch {
-		if _, ok := e.families[s.Family]; !ok {
-			e.register(MetricFamily{Name: s.Family})
-		}
-		key := seriesKey(s)
-		if st, ok := e.series[key]; ok {
-			st.sample = s
-			continue
-		}
-		e.series[key] = &storedSeries{sample: s}
-		e.seriesOrder = append(e.seriesOrder, key)
-	}
-	return nil
-}
-
-// Flush implements Sink; the store has no buffering.
-func (e *Exposition) Flush() error { return nil }
-
-// Close implements Sink; the page stays renderable after close.
-func (e *Exposition) Close() error { return nil }
-
-func seriesKey(s Sample) string {
-	// State is deliberately not part of the key: a health-state sample
-	// identifies its series by node, and the state label carries the
-	// current value's annotation — so a node's transitions update one
-	// series instead of leaking one dead series per visited state.
-	return s.Family + "\x00" + s.Cluster + "\x00" + s.Domain + "\x00" + s.Node + "\x00" + s.Zone + "\x00" + s.Sink
-}
-
-// WriteTo renders the full page: every gatherer in registration order
-// (headers even for families with no samples), then the pushed series
-// grouped under their families in first-seen order.
+// WriteTo renders the full page: every gatherer in registration order,
+// with headers even for families that have no samples.
 func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -124,18 +53,6 @@ func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
 				if s.Family == f.Name {
 					buf = appendSample(buf, s)
 				}
-			}
-		}
-	}
-	for _, name := range e.familyOrder {
-		if !emitted[name] {
-			buf = appendHeader(buf, e.families[name])
-			emitted[name] = true
-		}
-		for _, key := range e.seriesOrder {
-			st := e.series[key]
-			if st.sample.Family == name {
-				buf = appendSample(buf, st.sample)
 			}
 		}
 	}

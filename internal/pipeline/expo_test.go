@@ -13,8 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // TestExpositionGolden pins the rendered page byte for byte: header
-// layout, label order and escaping, gauge/counter value formatting, and
-// the gathered-before-pushed family ordering. Regenerate with -update.
+// layout, label order and escaping, and gauge/counter value formatting.
+// Regenerate with -update.
 func TestExpositionGolden(t *testing.T) {
 	e := NewExposition()
 	e.AddGatherer(staticCollector{
@@ -33,18 +33,6 @@ func TestExpositionGolden(t *testing.T) {
 			{Family: "pupil_epochs_total", Node: "n3", Value: -0.0625}, // negative fraction
 		},
 	})
-	e.Register(MetricFamily{Name: "pupil_pushed_total", Help: "A pushed counter.", Kind: Counter})
-	if err := e.Write([]Sample{
-		{Family: "pupil_pushed_total", Sink: "csv", Value: 3},
-		{Family: "pupil_pushed_total", Sink: "ndjson", Value: 4},
-		{Family: "pupil_unregistered", Value: 1}, // auto-registered, no help
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// A second write upserts the existing series in place.
-	if err := e.Write([]Sample{{Family: "pupil_pushed_total", Sink: "csv", Value: 5}}); err != nil {
-		t.Fatal(err)
-	}
 
 	var buf bytes.Buffer
 	if _, err := e.WriteTo(&buf); err != nil {
@@ -85,8 +73,7 @@ func TestExpositionServeHTTP(t *testing.T) {
 	}
 }
 
-// TestDomainLabel: the domain label renders between cluster and node and
-// keys series separately, so per-domain families never collide.
+// TestDomainLabel: the domain label renders between cluster and node.
 func TestDomainLabel(t *testing.T) {
 	s := Sample{Family: "pupil_cluster_domain_budget_watts", Cluster: "c1", Domain: "rack0", Value: 200}
 	got := string(appendSample(nil, s))
@@ -99,11 +86,6 @@ func TestDomainLabel(t *testing.T) {
 	want = `pupil_cluster_node_cap_watts{cluster="c1",domain="rack0",node="n3"} 90` + "\n"
 	if got != want {
 		t.Errorf("rendered %q, want %q", got, want)
-	}
-	other := s
-	other.Domain = "rack1"
-	if seriesKey(s) == seriesKey(other) {
-		t.Error("series differing only in domain share a key")
 	}
 	// A sample with no domain keeps its exact pre-domain byte layout.
 	flat := Sample{Family: "pupil_cluster_budget_watts", Cluster: "c1", Value: 400}

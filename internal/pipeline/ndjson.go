@@ -7,22 +7,6 @@ import (
 	"sync"
 )
 
-// StreamEncoder writes newline-delimited JSON records — the wire format
-// of pupild's /stream endpoints. It is the low-level encoder the NDJSON
-// sink batches through; the HTTP handlers use it directly so a stream
-// record goes out (and flushes) the moment it is encoded.
-type StreamEncoder struct {
-	enc *json.Encoder
-}
-
-// NewStreamEncoder returns an encoder writing NDJSON to w.
-func NewStreamEncoder(w io.Writer) *StreamEncoder {
-	return &StreamEncoder{enc: json.NewEncoder(w)}
-}
-
-// Encode writes one record followed by a newline.
-func (e *StreamEncoder) Encode(v any) error { return e.enc.Encode(v) }
-
 // NDJSON is a sink serializing each sample as one JSON object per line,
 // buffered; Flush forces the buffer down, Close flushes and closes the
 // underlying writer when it is an io.Closer. It backs pupild's file
@@ -30,14 +14,14 @@ func (e *StreamEncoder) Encode(v any) error { return e.enc.Encode(v) }
 type NDJSON struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	enc *StreamEncoder
+	enc *json.Encoder
 	c   io.Closer
 }
 
 // NewNDJSON returns an NDJSON sink over w.
 func NewNDJSON(w io.Writer) *NDJSON {
 	bw := bufio.NewWriter(w)
-	n := &NDJSON{bw: bw, enc: NewStreamEncoder(bw)}
+	n := &NDJSON{bw: bw, enc: json.NewEncoder(bw)}
 	if c, ok := w.(io.Closer); ok {
 		n.c = c
 	}

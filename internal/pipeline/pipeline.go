@@ -6,11 +6,13 @@
 // coordinators, sim sensors — into streams of typed Samples grouped into
 // MetricFamily declarations. The Router fans published samples out to any
 // number of Sinks, each behind its own bounded queue drained by a worker
-// goroutine in batches: a slow sink drops samples (counted, never
-// blocking the publisher), and Close stops intake, drains every queue in
-// publish order, flushes, and closes the sinks. Sinks serialize batches:
-// Prometheus text exposition, NDJSON streams, an in-memory ring for tests
-// and the /v1/telemetry/recent endpoint, and CSV experiment artifacts.
+// goroutine in batches: a stalled sink drops samples (counted, holding
+// the publisher at most 100 ms per stall), and Close stops intake, drains
+// every queue in publish order, flushes, and closes the sinks. Sinks
+// serialize batches: NDJSON streams, an in-memory ring for tests and the
+// /v1/telemetry/recent endpoint, and CSV experiment artifacts. The
+// Prometheus text Exposition page is not a sink: it gathers its
+// collectors at scrape time.
 //
 // Zone-labeled samples carry RAPL-style power zones ("package_0",
 // "package_0_core", "package_0_dram") so subsystem-level families such as

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +56,14 @@ func (c Config) withDefaults() Config {
 // Router fans published samples out to named sinks, each behind its own
 // bounded queue drained by a dedicated worker goroutine in batches.
 //
-// Publish never blocks on a sink: a full queue first yields once to give
-// the worker a chance to drain, then evicts the oldest queued sample,
-// counting the loss against the sink — the same contract the stream
-// fan-out gives slow subscribers. Close stops intake (later publishes are
-// counted no-ops, never panics), drains every queue in publish order,
-// flushes each sink, and closes it.
+// Publish never blocks indefinitely on a sink: a full queue waits at most
+// stallWait (100 ms) for the worker to take a sample, then evicts the
+// oldest queued sample, counting the loss against the sink — the same
+// lose-data-never-stall contract the stream fan-out gives slow
+// subscribers. Once a wait times out the sink counts as stalled and later
+// publishes evict without waiting, until its worker takes a sample again.
+// Close stops intake (later publishes are counted no-ops, never panics),
+// drains every queue in publish order, flushes each sink, and closes it.
 type Router struct {
 	cfg Config
 
@@ -94,6 +95,11 @@ type sinkWorker struct {
 	batches   atomic.Uint64
 	writeErrs atomic.Uint64
 	lastWarn  atomic.Int64 // unix nanos of the last drop warning
+
+	// stalled is set when a full-queue wait times out and cleared when the
+	// worker next takes a sample, so a wedged sink costs its publishers one
+	// wait per stall rather than one per sample.
+	stalled atomic.Bool
 }
 
 // NewRouter returns a running router with no sinks.
@@ -133,9 +139,10 @@ func (r *Router) SetDropWarn(min time.Duration, fn func(sink string, dropped uin
 	r.warnFn = fn
 }
 
-// Publish offers one sample to every sink. It never blocks on a slow
-// sink and reports whether the sample was accepted (false only after
-// Close, when publishing becomes a counted no-op).
+// Publish offers one sample to every sink, waiting at most stallWait on a
+// full sink queue before dropping, and reports whether the sample was
+// accepted (false only after Close, when publishing becomes a counted
+// no-op).
 func (r *Router) Publish(s Sample) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -169,28 +176,31 @@ func (r *Router) PublishBatch(batch []Sample) bool {
 	return true
 }
 
-// offerSpin bounds how many scheduler yields offer grants a full queue
-// before giving up and evicting. A live sink frees a slot within a yield
-// or two, so a sustained fast publisher sees zero drops; a wedged sink
-// costs the publisher a few dozen yields per sample, still never a block.
-const offerSpin = 64
+// stallWait bounds how long offer waits on a full queue for the worker to
+// take a sample. The bound depends on the sink, not the scheduler: a live
+// sink's worker takes its next sample well within it on any core count,
+// so a sustained fast publisher sees zero drops, while a wedged sink costs
+// its publishers one wait per stall.
+const stallWait = 100 * time.Millisecond
 
-// offer enqueues without ever blocking indefinitely: a full queue gets a
-// bounded burst of yields for the worker to catch up, then loses its
-// oldest sample. Exactly one sample is lost per failed enqueue, counted
-// against the sink.
+// offer enqueues without ever blocking indefinitely: a full queue waits up
+// to stallWait for the worker (skipped while the sink is stalled), then
+// loses its oldest sample. Exactly one sample is lost per failed enqueue,
+// counted against the sink.
 func (sw *sinkWorker) offer(s Sample) {
 	select {
 	case sw.queue <- s:
 		return
 	default:
 	}
-	for i := 0; i < offerSpin; i++ {
-		runtime.Gosched()
+	if !sw.stalled.Load() {
+		t := time.NewTimer(stallWait)
 		select {
 		case sw.queue <- s:
+			t.Stop()
 			return
-		default:
+		case <-t.C:
+			sw.stalled.Store(true)
 		}
 	}
 	// Still full: evict the oldest queued sample to make room. A racing
@@ -250,6 +260,9 @@ func (sw *sinkWorker) run(cfg Config) {
 			if !ok {
 				write()
 				return
+			}
+			if sw.stalled.Load() {
+				sw.stalled.Store(false)
 			}
 			batch = append(batch, s)
 			if len(batch) >= cfg.BatchSize {

@@ -1,30 +1,16 @@
 package server
 
-import (
-	"testing"
-
-	"pupil/internal/telemetry"
-)
+import "testing"
 
 func benchNode(b *testing.B, subscribers int) *Node {
 	b.Helper()
-	sess, cfg, apps, err := buildSession(NodeConfig{
+	n, err := NewDetachedNode(NodeConfig{
 		Technique: "RAPL",
 		CapWatts:  130,
 		Workloads: []WorkloadConfig{{Benchmark: "blackscholes", Threads: 32}},
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	n := &Node{
-		id:      "bench",
-		cfg:     cfg,
-		apps:    apps,
-		tickSim: DefaultTickSim,
-		sess:    sess,
-		state:   StateRunning,
-		fan:     telemetry.NewFanout[Sample](),
-		done:    make(chan struct{}),
 	}
 	for i := 0; i < subscribers; i++ {
 		n.Subscribe(8) // unread: exercises the drop path, as a stalled client would

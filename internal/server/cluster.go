@@ -1,23 +1,17 @@
 package server
 
 // The cluster serving layer promotes cluster.Coordinator from an offline
-// experiment to a served subsystem: each live cluster is owned by its own
-// supervised manager goroutine (the same drain / panic-recovery discipline
-// as the per-node session manager), stepped one coordinator epoch per tick
-// with the node sessions advanced concurrently on a bounded worker pool,
-// and observable over REST, an NDJSON epoch stream, and pupil_cluster_*
-// exporter families.
+// experiment to a served subsystem: each live cluster runs on the same
+// live runtime as a node (one supervised goroutine, drain and panic
+// isolation), stepped one coordinator epoch per tick with the node
+// sessions advanced concurrently on a bounded worker pool, and observable
+// over REST, an NDJSON epoch stream, and pupil_cluster_* exporter
+// families.
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"log"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pupil/internal/cluster"
@@ -25,7 +19,6 @@ import (
 	"pupil/internal/faults"
 	"pupil/internal/machine"
 	"pupil/internal/pipeline"
-	"pupil/internal/telemetry"
 )
 
 // Defaults for cluster tick pacing.
@@ -243,6 +236,13 @@ type ClusterSample struct {
 	Dropped uint64 `json:"dropped,omitempty"`
 }
 
+// withDropped stamps a subscriber's drop count on a sample before it is
+// streamed.
+func (s ClusterSample) withDropped(n uint64) ClusterSample {
+	s.Dropped = n
+	return s
+}
+
 // domainStatusesInto appends the converted coordinator domain snapshots to
 // dst, so the epoch loop can reuse one buffer instead of allocating per
 // epoch.
@@ -310,42 +310,26 @@ type ClusterFaultInfo struct {
 	ReclaimedWatts float64 `json:"reclaimed_watts,omitempty"`
 }
 
-// Cluster is one live coordinator owned by the manager: its epoch loop, the
-// mutex serializing coordinator access against budget/cap mutations and
-// status reads, and the per-epoch telemetry fan-out.
+// Cluster is one live coordinator owned by the manager: a fleet
+// coordinator stepped one epoch per tick by the live runtime.
 type Cluster struct {
-	id          string
+	live[ClusterSample]
 	cfg         ClusterConfig
 	nodeTech    []string   // resolved technique per node
 	nodeNames   []string   // resolved display name per node
 	nodeApps    [][]string // resolved workload names per node
 	nodeDomains []string   // leaf (rack) domain per node; nil when flat
-	epochSim    time.Duration
-	tickReal    time.Duration
-	maxSim      time.Duration
 
 	// healthOn records whether the cluster was created with fleet health
 	// tracking, so failed clusters can still answer without the coordinator.
 	healthOn bool
 
-	mu         sync.Mutex // guards coord, lastSnap, state, failReason, epoch bufs
-	coord      *cluster.Coordinator
-	lastSnap   cluster.Snapshot // reused SnapshotInto target for the epoch loop
-	state      State
-	failReason string
+	// Guarded by the runtime's mu: the coordinator and lastSnap, its
+	// reused SnapshotInto target.
+	coord    *cluster.Coordinator
+	lastSnap cluster.Snapshot
 
-	// pubMu guards the published status view Status serves without
-	// waiting on mu — at fleet scale an epoch step holds mu for hundreds
-	// of milliseconds, and before this split every cluster status read
-	// (and every /metrics scrape) queued behind it. pub's Nodes and
-	// Domains slices are pub-owned backing arrays reused across refreshes
-	// (NodeSnapshot and DomainSnapshot are flat value structs), so the
-	// steady-state epoch path stays allocation-free; Status copies them
-	// out per call.
-	pubMu sync.Mutex
-	pub   ClusterStatus
-
-	// Per-epoch scratch reused by advance so the steady-state epoch path
+	// Per-epoch scratch reused by step so the steady-state epoch path
 	// stays allocation-free; the built sample aliases these buffers and is
 	// deep-copied only when stream subscribers will retain it.
 	capsBuf   []float64
@@ -353,92 +337,36 @@ type Cluster struct {
 	domBuf    []ClusterDomainStatus
 	healthBuf []string
 
-	epoch  atomic.Uint64
-	fan    *telemetry.Fanout[ClusterSample]
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	// router is the manager's telemetry pipeline (nil on detached
-	// clusters); pubBuf is the reused per-epoch publish batch.
-	router *pipeline.Router
-	pubBuf []pipeline.Sample
-}
-
-// ID returns the manager-assigned cluster ID.
-func (c *Cluster) ID() string { return c.id }
-
-// Epoch returns how many coordinator epochs the cluster has stepped.
-func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
-
-// Done is closed when the cluster's epoch loop has exited.
-func (c *Cluster) Done() <-chan struct{} { return c.done }
-
-// Subscribe registers an epoch-stream subscriber with the given ring-buffer
-// capacity. The subscriber's channel closes when the cluster stops. It takes
-// the cluster lock so registration is ordered against the epoch loop's
-// publish: a sample built while no subscriber existed aliases reused
-// buffers, and must never reach a ring that outlives the epoch.
-func (c *Cluster) Subscribe(buffer int) *telemetry.Subscriber[ClusterSample] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fan.Subscribe(buffer)
+	// pub is the published status view, guarded by the runtime's pubMu.
+	// Its Nodes and Domains slices are pub-owned backing arrays reused
+	// across refreshes (NodeSnapshot and DomainSnapshot are flat value
+	// structs), so the steady-state epoch path stays allocation-free;
+	// Status copies them out per call.
+	pub ClusterStatus
 }
 
 // SetBudget changes a running cluster's global power budget live; the
 // assignment rescales to the new budget immediately.
 func (c *Cluster) SetBudget(watts float64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != StateRunning {
-		return fmt.Errorf("%w: cluster %s is %s", ErrNotRunning, c.id, c.state)
-	}
-	if err := c.coord.SetBudget(watts); err != nil {
-		return err
-	}
-	c.refreshStatusLocked()
-	return nil
+	return c.mutate(func() error { return c.coord.SetBudget(watts) })
 }
 
 // SetNodeCap reassigns one node's share of a running cluster directly,
 // bypassing the policy until the next epoch's rebalance.
 func (c *Cluster) SetNodeCap(i int, watts float64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != StateRunning {
-		return fmt.Errorf("%w: cluster %s is %s", ErrNotRunning, c.id, c.state)
-	}
-	if i < 0 || i >= c.coord.NodeCount() {
-		return fmt.Errorf("%w: cluster %s has no node %d", ErrNotFound, c.id, i)
-	}
-	if err := c.coord.SetNodeCap(i, watts); err != nil {
-		return err
-	}
-	c.refreshStatusLocked()
-	return nil
-}
-
-// refreshStatusLocked re-snapshots the coordinator and republishes the
-// status view after a mutation, so the change is visible to Status before
-// the next epoch runs. Callers hold c.mu.
-func (c *Cluster) refreshStatusLocked() {
-	c.coord.SnapshotInto(&c.lastSnap)
-	c.publishStatus(&c.lastSnap)
+	return c.mutate(func() error {
+		if i < 0 || i >= c.coord.NodeCount() {
+			return fmt.Errorf("%w: cluster %s has no node %d", ErrNotFound, c.id, i)
+		}
+		return c.coord.SetNodeCap(i, watts)
+	})
 }
 
 // InjectFault schedules a fault scenario against one node or a whole
 // budget domain of a running cluster, onset relative to the cluster's
 // current simulated time.
 func (c *Cluster) InjectFault(f ClusterFaultConfig) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != StateRunning {
-		return fmt.Errorf("%w: cluster %s is %s", ErrNotRunning, c.id, c.state)
-	}
-	if err := c.injectLocked(f); err != nil {
-		return err
-	}
-	c.refreshStatusLocked()
-	return nil
+	return c.mutate(func() error { return c.injectLocked(f) })
 }
 
 // injectLocked routes one fault to its target, mapping engine errors to
@@ -533,6 +461,7 @@ func (c *Cluster) Status() ClusterStatus {
 	st := c.pub
 	st.Nodes = append([]ClusterNodeStatus(nil), c.pub.Nodes...)
 	st.Domains = append([]ClusterDomainStatus(nil), c.pub.Domains...)
+	st.State, st.FailReason = c.pubState, c.pubFail
 	c.pubMu.Unlock()
 	// ID is immutable after creation and assigned after build, so it is
 	// read directly rather than through the published view.
@@ -542,59 +471,6 @@ func (c *Cluster) Status() ClusterStatus {
 	st.StreamDropped = c.fan.TotalDropped()
 	return st
 }
-
-// publishStatus rebuilds the published status view from a coordinator
-// snapshot, reusing the view's own backing arrays so the per-epoch refresh
-// is allocation-free in steady state. Callers hold c.mu (or solely own the
-// cluster during build); sn may alias the reused lastSnap buffer.
-func (c *Cluster) publishStatus(sn *cluster.Snapshot) {
-	c.pubMu.Lock()
-	defer c.pubMu.Unlock()
-	st := &c.pub
-	st.Name = c.cfg.Name
-	st.State = c.state
-	st.Policy = sn.Policy
-	st.SimS = sn.Now.Seconds()
-	st.BudgetWatts = sn.Budget
-	st.TotalPowerWatts = sn.TotalPower
-	st.TotalPerfHBs = sn.TotalRate
-	st.Domains = domainStatusesInto(st.Domains[:0], sn.Domains)
-	st.Quarantined = sn.Quarantined
-	st.ReclaimedWatts = sn.ReclaimedWatts
-	st.FailReason = c.failReason
-	nodes := st.Nodes[:0]
-	for i, ns := range sn.Nodes {
-		ncs := ClusterNodeStatus{
-			Index:          i,
-			Name:           ns.Name,
-			Technique:      c.nodeTech[i],
-			Workloads:      c.nodeApps[i],
-			CapWatts:       ns.CapWatts,
-			MeanPowerWatts: ns.MeanPower,
-			MeanRateHBs:    ns.MeanRate,
-		}
-		if c.healthOn {
-			ncs.Health = ns.Health.String()
-		}
-		nodes = append(nodes, ncs)
-	}
-	st.Nodes = nodes
-}
-
-// publishState refreshes only the state and failure reason of the
-// published view, leaving the last coherent snapshot in place — the
-// failed/stopped cluster's "still queryable" guarantee. Callers hold c.mu.
-func (c *Cluster) publishState() {
-	c.pubMu.Lock()
-	c.pub.State = c.state
-	c.pub.FailReason = c.failReason
-	c.pubMu.Unlock()
-}
-
-// StepOnce advances a detached cluster one epoch synchronously and reports
-// whether it is still running — the deterministic entry point for tests and
-// the perf harness.
-func (c *Cluster) StepOnce() bool { return c.tick() }
 
 // GrowTraces preallocates every node's telemetry traces for d of further
 // simulated time. Harnesses that know how many epochs they will step (the
@@ -608,108 +484,12 @@ func (c *Cluster) GrowTraces(d time.Duration) {
 	}
 }
 
-// tick steps one coordinator epoch and publishes the epoch sample. It
-// reports whether the loop should continue. The stream fan-out happens
-// inside advance, under the cluster lock; only the pipeline publish (which
-// copies the batch) runs outside it.
-func (c *Cluster) tick() bool {
-	smp, publish, cont := c.advance()
-	if publish {
-		c.publishPipeline(smp)
+// step runs one coordinator epoch and builds its sample.
+func (c *Cluster) step(epoch uint64) (ClusterSample, time.Duration, error) {
+	if err := c.coord.Step(c.tickSim); err != nil {
+		return ClusterSample{}, 0, err
 	}
-	return cont
-}
-
-// StreamDropped counts samples lost across every epoch-stream subscriber
-// this cluster ever had.
-func (c *Cluster) StreamDropped() uint64 { return c.fan.TotalDropped() }
-
-// publishPipeline routes the epoch's metric families — budget, aggregate
-// power and perf, and per-node cap shares — through the manager's
-// telemetry router. Detached clusters have no router and skip it.
-func (c *Cluster) publishPipeline(smp ClusterSample) {
-	if c.router == nil {
-		return
-	}
-	b := c.pubBuf[:0]
-	b = append(b,
-		pipeline.Sample{Family: "pupil_cluster_budget_watts", Cluster: c.id, SimS: smp.SimS, Value: smp.BudgetWatts},
-		pipeline.Sample{Family: "pupil_cluster_power_watts", Cluster: c.id, SimS: smp.SimS, Value: smp.TotalPowerWatts},
-		pipeline.Sample{Family: "pupil_cluster_perf_hbs", Cluster: c.id, SimS: smp.SimS, Value: smp.TotalPerfHBs})
-	for _, d := range smp.Domains {
-		b = append(b,
-			pipeline.Sample{Family: "pupil_cluster_domain_budget_watts", Cluster: c.id, Domain: d.Name, SimS: smp.SimS, Value: d.BudgetWatts},
-			pipeline.Sample{Family: "pupil_cluster_domain_power_watts", Cluster: c.id, Domain: d.Name, SimS: smp.SimS, Value: d.MeanPowerWatts},
-			pipeline.Sample{Family: "pupil_cluster_domain_fair_share_min", Cluster: c.id, Domain: d.Name, SimS: smp.SimS, Value: d.FairShareMin})
-	}
-	for i, capW := range smp.CapsWatts {
-		b = append(b, pipeline.Sample{Family: "pupil_cluster_node_cap_watts", Cluster: c.id, Domain: c.nodeDomain(i), Node: c.nodeName(i), SimS: smp.SimS, Value: capW})
-	}
-	if smp.NodeHealth != nil {
-		for i, h := range smp.NodeHealth {
-			b = append(b, pipeline.Sample{Family: "pupil_cluster_node_health", Cluster: c.id, Domain: c.nodeDomain(i), Node: c.nodeName(i), State: h, SimS: smp.SimS, Value: healthStateValue[h]})
-		}
-		b = append(b,
-			pipeline.Sample{Family: "pupil_cluster_quarantined", Cluster: c.id, SimS: smp.SimS, Value: float64(smp.Quarantined)},
-			pipeline.Sample{Family: "pupil_cluster_budget_reclaimed_watts", Cluster: c.id, SimS: smp.SimS, Value: smp.ReclaimedWatts})
-	}
-	c.router.PublishBatch(b)
-	c.pubBuf = b
-}
-
-// healthStateValue maps a health-state label back to its numeric level for
-// the pupil_cluster_node_health gauge (0 healthy .. 3 recovering), so
-// dashboards can alert on value >= 2 while keeping the label for humans.
-var healthStateValue = map[string]float64{
-	cluster.Healthy.String():     0,
-	cluster.Suspect.String():     1,
-	cluster.Quarantined.String(): 2,
-	cluster.Recovering.String():  3,
-}
-
-// nodeName returns node i's resolved name (the coordinator's label).
-func (c *Cluster) nodeName(i int) string {
-	if i < len(c.nodeNames) {
-		return c.nodeNames[i]
-	}
-	return ""
-}
-
-// nodeDomain returns node i's leaf (rack) domain name; "" when flat, so
-// flat clusters' series keep their exact pre-hierarchy label sets.
-func (c *Cluster) nodeDomain(i int) string {
-	if i < len(c.nodeDomains) {
-		return c.nodeDomains[i]
-	}
-	return ""
-}
-
-// advance runs one locked coordinator epoch. A panic escaping a node's
-// session or the policy marks this cluster failed — last coherent state
-// still queryable — instead of crashing the daemon.
-func (c *Cluster) advance() (smp ClusterSample, publish, cont bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			c.state = StateFailed
-			c.failReason = fmt.Sprintf("cluster panic: %v", r)
-			log.Printf("server: cluster %s failed: %v\n%s", c.id, r, debug.Stack())
-			c.publishState()
-			smp, publish, cont = ClusterSample{}, false, false
-		}
-	}()
-	if c.state != StateRunning {
-		return ClusterSample{}, false, false
-	}
-	if err := c.coord.Step(c.epochSim); err != nil {
-		c.state = StateFailed
-		c.failReason = fmt.Sprintf("cluster step: %v", err)
-		log.Printf("server: cluster %s failed: %v", c.id, err)
-		c.publishState()
-		return ClusterSample{}, false, false
-	}
-	c.coord.SnapshotInto(&c.lastSnap)
+	c.snapshot()
 	sn := &c.lastSnap
 	caps, pow := c.capsBuf[:0], c.powerBuf[:0]
 	for _, ns := range sn.Nodes {
@@ -719,9 +499,9 @@ func (c *Cluster) advance() (smp ClusterSample, publish, cont bool) {
 	c.capsBuf, c.powerBuf = caps, pow
 	doms := domainStatusesInto(c.domBuf[:0], sn.Domains)
 	c.domBuf = doms
-	smp = ClusterSample{
+	smp := ClusterSample{
 		Cluster:         c.id,
-		Epoch:           c.epoch.Add(1),
+		Epoch:           epoch,
 		SimS:            sn.Now.Seconds(),
 		BudgetWatts:     sn.Budget,
 		CapsWatts:       caps,
@@ -757,59 +537,98 @@ func (c *Cluster) advance() (smp ClusterSample, publish, cont bool) {
 			smp.NodeHealth = append([]string(nil), smp.NodeHealth...)
 		}
 	}
-	c.fan.Publish(smp)
-	if c.maxSim > 0 && sn.Now >= c.maxSim {
-		c.state = StateDone
-	}
-	c.publishStatus(sn)
-	return smp, true, c.state == StateRunning
+	return smp, sn.Now, nil
 }
 
-// run is the cluster's epoch loop, paced like the node tick loop: each tick
-// steps one simulated epoch, every tickReal of real time (or back-to-back
-// when free-running).
-func (c *Cluster) run(ctx context.Context) {
-	defer close(c.done)
-	defer c.fan.Close()
-	var tickC <-chan time.Time
-	if c.tickReal > 0 {
-		t := time.NewTicker(c.tickReal)
-		defer t.Stop()
-		tickC = t.C
-	}
-	for {
-		if tickC != nil {
-			select {
-			case <-ctx.Done():
-				c.setState(StateStopped)
-				return
-			case <-tickC:
-			}
-		} else {
-			select {
-			case <-ctx.Done():
-				c.setState(StateStopped)
-				return
-			default:
-				// Free-running: yield between epochs so API handlers and
-				// other loops are not starved for a full preemption slice
-				// on busy hosts (see the node run loop).
-				runtime.Gosched()
-			}
+func (c *Cluster) snapshot() { c.coord.SnapshotInto(&c.lastSnap) }
+
+// publish rebuilds the published status view from lastSnap, reusing the
+// view's own backing arrays so the per-epoch refresh is allocation-free in
+// steady state.
+func (c *Cluster) publish() {
+	sn := &c.lastSnap
+	st := &c.pub
+	st.Name = c.cfg.Name
+	st.Policy = sn.Policy
+	st.SimS = sn.Now.Seconds()
+	st.BudgetWatts = sn.Budget
+	st.TotalPowerWatts = sn.TotalPower
+	st.TotalPerfHBs = sn.TotalRate
+	st.Domains = domainStatusesInto(st.Domains[:0], sn.Domains)
+	st.Quarantined = sn.Quarantined
+	st.ReclaimedWatts = sn.ReclaimedWatts
+	nodes := st.Nodes[:0]
+	for i, ns := range sn.Nodes {
+		ncs := ClusterNodeStatus{
+			Index:          i,
+			Name:           ns.Name,
+			Technique:      c.nodeTech[i],
+			Workloads:      c.nodeApps[i],
+			CapWatts:       ns.CapWatts,
+			MeanPowerWatts: ns.MeanPower,
+			MeanRateHBs:    ns.MeanRate,
 		}
-		if !c.tick() {
-			return
+		if c.healthOn {
+			ncs.Health = ns.Health.String()
 		}
+		nodes = append(nodes, ncs)
 	}
+	st.Nodes = nodes
 }
 
-func (c *Cluster) setState(s State) {
-	c.mu.Lock()
-	if c.state == StateRunning {
-		c.state = s
+// families renders the epoch's metric families — budget, aggregate power
+// and perf, per-domain budgets, and per-node cap shares and health — for
+// the manager's telemetry router.
+func (c *Cluster) families(b []pipeline.Sample, smp ClusterSample) []pipeline.Sample {
+	b = append(b,
+		pipeline.Sample{Family: "pupil_cluster_budget_watts", Cluster: c.id, SimS: smp.SimS, Value: smp.BudgetWatts},
+		pipeline.Sample{Family: "pupil_cluster_power_watts", Cluster: c.id, SimS: smp.SimS, Value: smp.TotalPowerWatts},
+		pipeline.Sample{Family: "pupil_cluster_perf_hbs", Cluster: c.id, SimS: smp.SimS, Value: smp.TotalPerfHBs})
+	for _, d := range smp.Domains {
+		b = append(b,
+			pipeline.Sample{Family: "pupil_cluster_domain_budget_watts", Cluster: c.id, Domain: d.Name, SimS: smp.SimS, Value: d.BudgetWatts},
+			pipeline.Sample{Family: "pupil_cluster_domain_power_watts", Cluster: c.id, Domain: d.Name, SimS: smp.SimS, Value: d.MeanPowerWatts},
+			pipeline.Sample{Family: "pupil_cluster_domain_fair_share_min", Cluster: c.id, Domain: d.Name, SimS: smp.SimS, Value: d.FairShareMin})
 	}
-	c.publishState()
-	c.mu.Unlock()
+	for i, capW := range smp.CapsWatts {
+		b = append(b, pipeline.Sample{Family: "pupil_cluster_node_cap_watts", Cluster: c.id, Domain: c.nodeDomain(i), Node: c.nodeName(i), SimS: smp.SimS, Value: capW})
+	}
+	if smp.NodeHealth != nil {
+		for i, h := range smp.NodeHealth {
+			b = append(b, pipeline.Sample{Family: "pupil_cluster_node_health", Cluster: c.id, Domain: c.nodeDomain(i), Node: c.nodeName(i), State: h, SimS: smp.SimS, Value: healthStateValue[h]})
+		}
+		b = append(b,
+			pipeline.Sample{Family: "pupil_cluster_quarantined", Cluster: c.id, SimS: smp.SimS, Value: float64(smp.Quarantined)},
+			pipeline.Sample{Family: "pupil_cluster_budget_reclaimed_watts", Cluster: c.id, SimS: smp.SimS, Value: smp.ReclaimedWatts})
+	}
+	return b
+}
+
+// healthStateValue maps a health-state label back to its numeric level for
+// the pupil_cluster_node_health gauge (0 healthy .. 3 recovering), so
+// dashboards can alert on value >= 2 while keeping the label for humans.
+var healthStateValue = map[string]float64{
+	cluster.Healthy.String():     0,
+	cluster.Suspect.String():     1,
+	cluster.Quarantined.String(): 2,
+	cluster.Recovering.String():  3,
+}
+
+// nodeName returns node i's resolved name (the coordinator's label).
+func (c *Cluster) nodeName(i int) string {
+	if i < len(c.nodeNames) {
+		return c.nodeNames[i]
+	}
+	return ""
+}
+
+// nodeDomain returns node i's leaf (rack) domain name; "" when flat, so
+// flat clusters' series keep their exact pre-hierarchy label sets.
+func (c *Cluster) nodeDomain(i int) string {
+	if i < len(c.nodeDomains) {
+		return c.nodeDomains[i]
+	}
+	return ""
 }
 
 // CreateCluster builds a cluster from its configuration and starts its
@@ -819,33 +638,7 @@ func (m *Manager) CreateCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
-	m.nextClusterID++
-	c.id = fmt.Sprintf("c%d", m.nextClusterID)
-	c.router = m.router
-	ctx, cancel := context.WithCancel(m.ctx)
-	c.cancel = cancel
-	m.clusters[c.id] = c
-	m.clusterOrder = append(m.clusterOrder, c.id)
-	m.wg.Add(1)
-	m.mu.Unlock()
-
-	id := c.id
-	c.fan.SetLagWarn(5*time.Second, func(total uint64) {
-		log.Printf("server: cluster %s stream subscriber lagging; %d samples dropped so far", id, total)
-	})
-
-	m.clustersCreated.Add(1)
-	go func() {
-		defer m.wg.Done()
-		c.run(ctx)
-	}()
-	return c, nil
+	return m.clusters.add(m, c)
 }
 
 // NewDetachedCluster builds a cluster whose epoch loop is not started:
@@ -861,54 +654,21 @@ func NewDetachedCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // GetCluster looks a cluster up by ID.
-func (m *Manager) GetCluster(id string) (*Cluster, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	c, ok := m.clusters[id]
-	return c, ok
-}
+func (m *Manager) GetCluster(id string) (*Cluster, bool) { return m.clusters.get(id) }
 
 // Clusters lists the live clusters in creation order.
-func (m *Manager) Clusters() []*Cluster {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]*Cluster, 0, len(m.clusterOrder))
-	for _, id := range m.clusterOrder {
-		out = append(out, m.clusters[id])
-	}
-	return out
-}
+func (m *Manager) Clusters() []*Cluster { return m.clusters.list() }
 
 // ClustersCreated and ClustersDeleted report lifetime counters for the
 // exporter.
-func (m *Manager) ClustersCreated() uint64 { return m.clustersCreated.Load() }
+func (m *Manager) ClustersCreated() uint64 { return m.clusters.created.Load() }
 
 // ClustersDeleted reports how many clusters have been torn down.
-func (m *Manager) ClustersDeleted() uint64 { return m.clustersDeleted.Load() }
+func (m *Manager) ClustersDeleted() uint64 { return m.clusters.deleted.Load() }
 
 // DeleteCluster stops a cluster's epoch loop, waits for it to drain, and
 // removes it from the registry.
-func (m *Manager) DeleteCluster(id string) error {
-	m.mu.Lock()
-	c, ok := m.clusters[id]
-	if ok {
-		delete(m.clusters, id)
-		for i, v := range m.clusterOrder {
-			if v == id {
-				m.clusterOrder = append(m.clusterOrder[:i], m.clusterOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	c.cancel()
-	<-c.done
-	m.clustersDeleted.Add(1)
-	return nil
-}
+func (m *Manager) DeleteCluster(id string) error { return m.clusters.remove(id) }
 
 // buildCluster turns a ClusterConfig into an unstarted Cluster: node specs
 // resolved through the same platform/technique/workload tables as single
@@ -921,26 +681,8 @@ func buildCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	c := &Cluster{
-		cfg:      cfg,
-		epochSim: DefaultClusterEpochSim,
-		tickReal: DefaultClusterTickReal,
-		state:    StateRunning,
-		fan:      telemetry.NewFanout[ClusterSample](),
-		done:     make(chan struct{}),
-	}
-	if cfg.EpochSimMS > 0 {
-		c.epochSim = time.Duration(cfg.EpochSimMS) * time.Millisecond
-	}
-	if cfg.TickRealMS > 0 {
-		c.tickReal = time.Duration(cfg.TickRealMS) * time.Millisecond
-	}
-	if cfg.FreeRun {
-		c.tickReal = 0
-	}
-	if cfg.MaxSimS > 0 {
-		c.maxSim = time.Duration(cfg.MaxSimS * float64(time.Second))
-	}
+	c := &Cluster{cfg: cfg}
+	epochSim := pace(cfg.EpochSimMS, DefaultClusterEpochSim)
 
 	specs := make([]cluster.NodeSpec, len(cfg.Nodes))
 	for i, nc := range cfg.Nodes {
@@ -997,7 +739,7 @@ func buildCluster(cfg ClusterConfig) (*Cluster, error) {
 	coord, err := cluster.NewCoordinator(cluster.Config{
 		Nodes:       specs,
 		BudgetWatts: cfg.BudgetWatts,
-		Epoch:       c.epochSim,
+		Epoch:       epochSim,
 		Policy:      policy,
 		Seed:        cfg.Seed,
 		FloorWatts:  cfg.FloorWatts,
@@ -1011,12 +753,11 @@ func buildCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.coord = coord
 	c.healthOn = cfg.Health != nil
 	c.nodeDomains = coord.NodeDomains()
-	c.lastSnap = coord.Snapshot()
-	c.publishStatus(&c.lastSnap)
 	for i, f := range cfg.Faults {
 		if err := c.injectLocked(f); err != nil {
 			return nil, fmt.Errorf("cluster fault %d: %w", i, err)
 		}
 	}
+	c.setup(c, "cluster", "cluster", epochSim, pace(cfg.TickRealMS, DefaultClusterTickReal), cfg.FreeRun, cfg.MaxSimS)
 	return c, nil
 }

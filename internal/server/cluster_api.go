@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -20,7 +19,11 @@ func (s *Server) clusterRoutes() {
 	s.mux.HandleFunc("PUT /v1/clusters/{id}/budget", s.handleSetBudget)
 	s.mux.HandleFunc("PUT /v1/clusters/{id}/nodes/{index}/cap", s.handleSetClusterNodeCap)
 	s.mux.HandleFunc("DELETE /v1/clusters/{id}", s.handleDeleteCluster)
-	s.mux.HandleFunc("GET /v1/clusters/{id}/stream", s.handleClusterStream)
+	s.mux.HandleFunc("GET /v1/clusters/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		if c, ok := s.clusterOf(w, r); ok {
+			serveStream(w, r, &c.live)
+		}
+	})
 	s.mux.HandleFunc("POST /v1/clusters/{id}/faults", s.handleInjectClusterFault)
 	s.mux.HandleFunc("GET /v1/clusters/{id}/faults", s.handleClusterFaults)
 }
@@ -145,70 +148,4 @@ func (s *Server) handleDeleteCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleClusterStream pushes per-epoch cluster samples as newline-delimited
-// JSON until the client disconnects, the cluster stops, or ?max=N samples
-// have been sent; ?buffer=N sizes the subscriber's ring (default 64), with
-// overflow reported per-record in dropped — the same contract as the node
-// stream.
-func (s *Server) handleClusterStream(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.clusterOf(w, r)
-	if !ok {
-		return
-	}
-	buffer := 64
-	if v := r.URL.Query().Get("buffer"); v != "" {
-		b, err := strconv.Atoi(v)
-		if err != nil || b < 1 {
-			writeError(w, fmt.Errorf("%w: bad buffer %q", ErrBadConfig, v))
-			return
-		}
-		buffer = b
-	}
-	max := 0
-	if v := r.URL.Query().Get("max"); v != "" {
-		mx, err := strconv.Atoi(v)
-		if err != nil || mx < 1 {
-			writeError(w, fmt.Errorf("%w: bad max %q", ErrBadConfig, v))
-			return
-		}
-		max = mx
-	}
-
-	sub := c.Subscribe(buffer)
-	defer sub.Cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Flush the header at subscribe time, as the node stream does: a
-		// client of an idle cluster must still observe the subscription.
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	sent := 0
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case smp, open := <-sub.C():
-			if !open {
-				return
-			}
-			smp.Dropped = sub.Dropped()
-			if err := enc.Encode(smp); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			sent++
-			if max > 0 && sent >= max {
-				return
-			}
-		}
-	}
 }

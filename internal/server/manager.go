@@ -17,11 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pupil/internal/control"
@@ -30,7 +27,6 @@ import (
 	"pupil/internal/faults"
 	"pupil/internal/machine"
 	"pupil/internal/pipeline"
-	"pupil/internal/telemetry"
 	"pupil/internal/workload"
 )
 
@@ -232,6 +228,13 @@ type Sample struct {
 	Thermal []driver.SocketTherm `json:"thermal,omitempty"`
 }
 
+// withDropped stamps a subscriber's drop count on a sample before it is
+// streamed.
+func (s Sample) withDropped(n uint64) Sample {
+	s.Dropped = n
+	return s
+}
+
 // State is a node's lifecycle phase.
 type State string
 
@@ -280,88 +283,34 @@ type NodeStatus struct {
 	FailReason string `json:"fail_reason,omitempty"`
 }
 
-// Node is one live simulated machine owned by the manager.
+// Node is one live simulated machine owned by the manager: a driver
+// session advanced by the live runtime.
 type Node struct {
-	id       string
-	cfg      NodeConfig
-	apps     []string
-	tickSim  time.Duration
-	tickReal time.Duration
-	maxSim   time.Duration
+	live[Sample]
+	cfg  NodeConfig
+	apps []string
 
-	mu         sync.Mutex // guards sess, last, state, failReason
-	sess       *driver.Session
-	last       Sample
-	state      State
-	failReason string
+	// Guarded by the runtime's mu: the session, its snapshot after the last
+	// tick or mutation, and the last tick's sample.
+	sess *driver.Session
+	snap driver.Snapshot
+	last Sample
 
-	// pubMu guards the published status view — the snapshot Status serves
-	// without touching sess or waiting on mu. advance refreshes it once
-	// per tick and mutations refresh it on apply, so status reads never
-	// queue behind a tick in progress (a free-running node holds mu
-	// almost continuously; before this split, every /v1/nodes/{id} read
-	// and every /metrics scrape serialized against the simulation).
-	pubMu    sync.Mutex
-	pubSnap  driver.Snapshot
-	pubLast  Sample
-	pubState State
-	pubFail  string
-
-	epoch  atomic.Uint64
-	fan    *telemetry.Fanout[Sample]
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	// router is the manager's telemetry pipeline (nil on detached nodes);
-	// pubBuf is the reused per-tick publish batch — PublishBatch copies
-	// samples into the sink queues, so reuse is safe.
-	router *pipeline.Router
-	pubBuf []pipeline.Sample
+	// Guarded by the runtime's pubMu: the published status view.
+	pubSnap driver.Snapshot
+	pubLast Sample
 }
-
-// ID returns the manager-assigned node ID.
-func (n *Node) ID() string { return n.id }
-
-// Epoch returns how many ticks the node has simulated.
-func (n *Node) Epoch() uint64 { return n.epoch.Load() }
-
-// Done is closed when the node's tick loop has exited.
-func (n *Node) Done() <-chan struct{} { return n.done }
 
 // SetCap changes a running node's power cap live; the controller observes
 // it on its next decision interval.
 func (n *Node) SetCap(watts float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.state != StateRunning {
-		return fmt.Errorf("%w: node %s is %s", ErrNotRunning, n.id, n.state)
-	}
-	if err := n.sess.SetCap(watts); err != nil {
-		return err
-	}
-	n.publishStatus(n.sess.Snapshot())
-	return nil
-}
-
-// Subscribe registers a telemetry subscriber with the given ring-buffer
-// capacity. The subscriber's channel closes when the node stops.
-func (n *Node) Subscribe(buffer int) *telemetry.Subscriber[Sample] {
-	return n.fan.Subscribe(buffer)
+	return n.mutate(func() error { return n.sess.SetCap(watts) })
 }
 
 // InjectFault schedules a fault scenario on a running node; the onset is
 // relative to the node's current simulated time.
 func (n *Node) InjectFault(f FaultConfig) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.state != StateRunning {
-		return fmt.Errorf("%w: node %s is %s", ErrNotRunning, n.id, n.state)
-	}
-	if err := n.sess.InjectFault(f.scenario()); err != nil {
-		return err
-	}
-	n.publishStatus(n.sess.Snapshot())
-	return nil
+	return n.mutate(func() error { return n.sess.InjectFault(f.scenario()) })
 }
 
 // FaultInfo reports the node's scheduled faults and observed transitions.
@@ -394,10 +343,7 @@ func (n *Node) FaultInfo() FaultInfo {
 // so sharing them here is safe.
 func (n *Node) Status() NodeStatus {
 	n.pubMu.Lock()
-	sn := n.pubSnap
-	last := n.pubLast
-	state := n.pubState
-	fail := n.pubFail
+	sn, last, state, fail := n.pubSnap, n.pubLast, n.pubState, n.pubFail
 	n.pubMu.Unlock()
 	return NodeStatus{
 		ID:             n.id,
@@ -425,84 +371,60 @@ func (n *Node) Status() NodeStatus {
 	}
 }
 
-// publishStatus refreshes the published status view from a fresh session
-// snapshot. Callers hold n.mu (or solely own the node during build).
-func (n *Node) publishStatus(sn driver.Snapshot) {
-	n.pubMu.Lock()
-	n.pubSnap = sn
-	n.pubLast = n.last
-	n.pubState = n.state
-	n.pubFail = n.failReason
-	n.pubMu.Unlock()
+// newNode builds an unregistered node whose tick loop is not started.
+func newNode(cfg NodeConfig) (*Node, error) {
+	sess, cfg, apps, err := buildSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := &Node{cfg: cfg, apps: apps, sess: sess}
+	n.setup(n, "node", "session", pace(cfg.TickSimMS, DefaultTickSim),
+		pace(cfg.TickRealMS, DefaultTickReal), cfg.FreeRun, cfg.MaxSimS)
+	return n, nil
 }
-
-// publishState refreshes only the state and failure reason of the
-// published view, leaving the last coherent snapshot in place — the
-// failed/stopped node's "still queryable" guarantee. Callers hold n.mu.
-func (n *Node) publishState() {
-	n.pubMu.Lock()
-	n.pubState = n.state
-	n.pubFail = n.failReason
-	n.pubMu.Unlock()
-}
-
-// StreamDropped counts samples lost across every stream subscriber this
-// node ever had.
-func (n *Node) StreamDropped() uint64 { return n.fan.TotalDropped() }
 
 // NewDetachedNode builds a node whose tick loop is not started: callers
 // advance it synchronously with StepOnce. The perf harness benchmarks the
 // manager's tick path this way, without goroutine scheduling noise; it is
 // also useful for deterministic tests over the server tick machinery.
 func NewDetachedNode(cfg NodeConfig) (*Node, error) {
-	sess, cfg, apps, err := buildSession(cfg)
+	n, err := newNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		id:      "detached",
-		cfg:     cfg,
-		apps:    apps,
-		tickSim: DefaultTickSim,
-		sess:    sess,
-		state:   StateRunning,
-		fan:     telemetry.NewFanout[Sample](),
-		done:    make(chan struct{}),
-	}
-	if cfg.TickSimMS > 0 {
-		n.tickSim = time.Duration(cfg.TickSimMS) * time.Millisecond
-	}
-	if cfg.MaxSimS > 0 {
-		n.maxSim = time.Duration(cfg.MaxSimS * float64(time.Second))
-	}
-	n.publishStatus(sess.Snapshot())
+	n.id = "detached"
 	return n, nil
 }
 
-// StepOnce advances a detached node one tick synchronously and reports
-// whether the node is still running.
-func (n *Node) StepOnce() bool { return n.tick() }
-
-// tick advances the session one increment and publishes a sample. It
-// reports whether the loop should continue.
-func (n *Node) tick() bool {
-	smp, publish, cont := n.advance()
-	if publish {
-		n.fan.Publish(smp)
-		n.publishPipeline(smp)
+// step advances the session one increment and builds the tick's sample.
+func (n *Node) step(epoch uint64) (Sample, time.Duration, error) {
+	n.sess.Advance(n.tickSim)
+	n.snapshot()
+	sn := &n.snap
+	n.last = Sample{
+		Node:           n.id,
+		Epoch:          epoch,
+		SimS:           sn.Now.Seconds(),
+		CapWatts:       sn.CapWatts,
+		PowerWatts:     sn.PowerWatts,
+		MeanPowerWatts: n.sess.MeanPower(n.tickSim),
+		PerfHBs:        sn.TotalRate(),
+		FaultsActive:   sn.FaultsActive,
+		Degraded:       sn.DegradeLevel != "" && sn.DegradeLevel != "normal",
+		Zones:          sn.Zones,
+		Thermal:        sn.Thermal,
 	}
-	return cont
+	return n.last, sn.Now, nil
 }
 
-// publishPipeline routes the tick's metric families — node-level power,
-// cap, and perf plus the per-zone power breakdown — through the manager's
-// telemetry router. Detached nodes (benchmarks, synchronous tests) have
-// no router and skip it.
-func (n *Node) publishPipeline(smp Sample) {
-	if n.router == nil {
-		return
-	}
-	b := n.pubBuf[:0]
+func (n *Node) snapshot() { n.snap = n.sess.Snapshot() }
+
+func (n *Node) publish() { n.pubSnap, n.pubLast = n.snap, n.last }
+
+// families renders the tick's metric families — node-level power, cap,
+// and perf plus the per-zone power breakdown and thermal state — for the
+// manager's telemetry router.
+func (n *Node) families(b []pipeline.Sample, smp Sample) []pipeline.Sample {
 	b = append(b,
 		pipeline.Sample{Family: "pupil_power_watts", Node: n.id, SimS: smp.SimS, Value: smp.PowerWatts},
 		pipeline.Sample{Family: "pupil_cap_watts", Node: n.id, SimS: smp.SimS, Value: smp.CapWatts},
@@ -519,131 +441,19 @@ func (n *Node) publishPipeline(smp Sample) {
 			pipeline.Sample{Family: "pupil_temp_celsius", Node: n.id, Zone: th.Zone, SimS: smp.SimS, Value: th.TempC},
 			pipeline.Sample{Family: "pupil_thermal_throttled", Node: n.id, Zone: th.Zone, SimS: smp.SimS, Value: throttled})
 	}
-	n.router.PublishBatch(b)
-	n.pubBuf = b
+	return b
 }
 
-// advance runs one locked simulation increment. A panic escaping the
-// session (a controller or model blowing up mid-decision) marks this node
-// failed — with its last coherent state still queryable over the API —
-// instead of crashing the daemon and taking every other node down with it.
-func (n *Node) advance() (smp Sample, publish, cont bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	// Registered after Unlock, so this recover runs first, still holding
-	// the lock the failure state is written under.
-	defer func() {
-		if r := recover(); r != nil {
-			n.state = StateFailed
-			n.failReason = fmt.Sprintf("session panic: %v", r)
-			log.Printf("server: node %s failed: %v\n%s", n.id, r, debug.Stack())
-			n.publishState()
-			smp, publish, cont = Sample{}, false, false
-		}
-	}()
-	if n.state != StateRunning {
-		return Sample{}, false, false
-	}
-	n.sess.Advance(n.tickSim)
-	sn := n.sess.Snapshot()
-	smp = Sample{
-		Node:           n.id,
-		Epoch:          n.epoch.Add(1),
-		SimS:           sn.Now.Seconds(),
-		CapWatts:       sn.CapWatts,
-		PowerWatts:     sn.PowerWatts,
-		MeanPowerWatts: n.sess.MeanPower(n.tickSim),
-		PerfHBs:        sn.TotalRate(),
-		FaultsActive:   sn.FaultsActive,
-		Degraded:       sn.DegradeLevel != "" && sn.DegradeLevel != "normal",
-		Zones:          sn.Zones,
-		Thermal:        sn.Thermal,
-	}
-	n.last = smp
-	if n.maxSim > 0 && sn.Now >= n.maxSim {
-		n.state = StateDone
-	}
-	n.publishStatus(sn)
-	return smp, true, n.state == StateRunning
-}
-
-// run is the node's tick loop. Ticks are decoupled from wall-clock
-// progress: each tick advances tickSim of simulated time, paced every
-// tickReal of real time (or back-to-back when free-running).
-func (n *Node) run(ctx context.Context) {
-	defer close(n.done)
-	defer n.fan.Close()
-	var tickC <-chan time.Time
-	if n.tickReal > 0 {
-		t := time.NewTicker(n.tickReal)
-		defer t.Stop()
-		tickC = t.C
-	}
-	for {
-		if tickC != nil {
-			select {
-			case <-ctx.Done():
-				n.setState(StateStopped)
-				return
-			case <-tickC:
-			}
-		} else {
-			select {
-			case <-ctx.Done():
-				n.setState(StateStopped)
-				return
-			default:
-				// Free-running: yield between ticks. Without this, each
-				// free-running node is a CPU-bound goroutine the scheduler
-				// only preempts every ~10ms, and on small hosts every API
-				// handler queues behind those slices — the load harness
-				// measured a ~80ms latency floor across all endpoint
-				// classes from two such nodes on one core.
-				runtime.Gosched()
-			}
-		}
-		if !n.tick() {
-			return
-		}
-	}
-}
-
-func (n *Node) setState(s State) {
-	n.mu.Lock()
-	if n.state == StateRunning {
-		n.state = s
-	}
-	n.publishState()
-	n.mu.Unlock()
-}
-
-// Manager owns the live nodes: a registry behind a read-write mutex plus
-// one goroutine per node, with context-based cancellation and a graceful
-// Close that drains every tick loop. Lookups and listings — the hot path
-// for the exporter and the status endpoints — take only the read lock, so
-// concurrent scrapes never serialize against each other.
+// Manager owns the live nodes and clusters: one registry per kind plus one
+// supervised goroutine per live resource, with context-based cancellation
+// and a graceful Close that drains every tick loop.
 type Manager struct {
-	mu     sync.RWMutex
-	nodes  map[string]*Node
-	order  []string // creation order, for stable listings
-	nextID int
-	closed bool
-
-	// Clusters live beside nodes under the same lifecycle: one supervised
-	// goroutine per live cluster, drained by the same Close.
-	clusters      map[string]*Cluster
-	clusterOrder  []string
-	nextClusterID int
+	nodes    registry[*Node]
+	clusters registry[*Cluster]
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-
-	created atomic.Uint64
-	deleted atomic.Uint64
-
-	clustersCreated atomic.Uint64
-	clustersDeleted atomic.Uint64
 
 	// router is the telemetry pipeline every node and cluster publishes
 	// through; recent is its always-attached ring sink, serving
@@ -658,18 +468,13 @@ const DefaultRecentSamples = 1024
 // NewManager returns an empty manager ready to create nodes, with a
 // default-tuned telemetry router.
 func NewManager() *Manager {
-	return NewManagerPipeline(pipeline.Config{})
-}
-
-// NewManagerPipeline is NewManager with explicit router tuning.
-func NewManagerPipeline(cfg pipeline.Config) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		nodes:    make(map[string]*Node),
-		clusters: make(map[string]*Cluster),
+		nodes:    registry[*Node]{prefix: "n"},
+		clusters: registry[*Cluster]{prefix: "c"},
 		ctx:      ctx,
 		cancel:   cancel,
-		router:   pipeline.NewRouter(cfg),
+		router:   pipeline.NewRouter(pipeline.Config{}),
 		recent:   pipeline.NewRing(DefaultRecentSamples),
 	}
 	_ = m.router.AddSink("recent", m.recent)
@@ -700,133 +505,38 @@ func (m *Manager) Recent(max int) []pipeline.Sample {
 
 // Create builds a node from its configuration and starts its tick loop.
 func (m *Manager) Create(cfg NodeConfig) (*Node, error) {
-	sess, cfg, apps, err := buildSession(cfg)
+	n, err := newNode(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		cfg:      cfg,
-		apps:     apps,
-		tickSim:  DefaultTickSim,
-		tickReal: DefaultTickReal,
-		sess:     sess,
-		state:    StateRunning,
-		fan:      telemetry.NewFanout[Sample](),
-		done:     make(chan struct{}),
-	}
-	if cfg.TickSimMS > 0 {
-		n.tickSim = time.Duration(cfg.TickSimMS) * time.Millisecond
-	}
-	if cfg.TickRealMS > 0 {
-		n.tickReal = time.Duration(cfg.TickRealMS) * time.Millisecond
-	}
-	if cfg.FreeRun {
-		n.tickReal = 0
-	}
-	if cfg.MaxSimS > 0 {
-		n.maxSim = time.Duration(cfg.MaxSimS * float64(time.Second))
-	}
-	// Publish the initial status before the node becomes reachable through
-	// the registry, so a racing reader never sees a zero snapshot.
-	n.publishStatus(sess.Snapshot())
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
-	m.nextID++
-	n.id = fmt.Sprintf("n%d", m.nextID)
-	n.router = m.router
-	ctx, cancel := context.WithCancel(m.ctx)
-	n.cancel = cancel
-	m.nodes[n.id] = n
-	m.order = append(m.order, n.id)
-	m.wg.Add(1)
-	m.mu.Unlock()
-
-	id := n.id
-	n.fan.SetLagWarn(5*time.Second, func(total uint64) {
-		log.Printf("server: node %s stream subscriber lagging; %d samples dropped so far", id, total)
-	})
-
-	m.created.Add(1)
-	go func() {
-		defer m.wg.Done()
-		n.run(ctx)
-	}()
-	return n, nil
+	return m.nodes.add(m, n)
 }
 
 // Get looks a node up by ID.
-func (m *Manager) Get(id string) (*Node, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n, ok := m.nodes[id]
-	return n, ok
-}
+func (m *Manager) Get(id string) (*Node, bool) { return m.nodes.get(id) }
 
 // Nodes lists the live nodes in creation order.
-func (m *Manager) Nodes() []*Node {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]*Node, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.nodes[id])
-	}
-	return out
-}
+func (m *Manager) Nodes() []*Node { return m.nodes.list() }
 
 // Len reports the number of live nodes.
-func (m *Manager) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.nodes)
-}
+func (m *Manager) Len() int { return m.nodes.len() }
 
 // Created and Deleted report lifetime counters for the exporter.
-func (m *Manager) Created() uint64 { return m.created.Load() }
+func (m *Manager) Created() uint64 { return m.nodes.created.Load() }
 
 // Deleted reports how many nodes have been torn down.
-func (m *Manager) Deleted() uint64 { return m.deleted.Load() }
+func (m *Manager) Deleted() uint64 { return m.nodes.deleted.Load() }
 
 // Delete stops a node's tick loop, waits for it to drain, and removes it
 // from the registry.
-func (m *Manager) Delete(id string) error {
-	m.mu.Lock()
-	n, ok := m.nodes[id]
-	if ok {
-		delete(m.nodes, id)
-		for i, v := range m.order {
-			if v == id {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
-	}
-	m.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	n.cancel()
-	<-n.done
-	m.deleted.Add(1)
-	return nil
-}
+func (m *Manager) Delete(id string) error { return m.nodes.remove(id) }
 
-// Close shuts the manager down gracefully: no new nodes are accepted,
-// every tick loop is cancelled and drained, and all stream subscribers see
-// their channels close. Close is idempotent.
+// Close shuts the manager down gracefully: no new nodes or clusters are
+// accepted, every tick loop is cancelled and drained, and all stream
+// subscribers see their channels close. Close is idempotent.
 func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.wg.Wait()
-		_ = m.router.Close()
-		return
-	}
-	m.closed = true
-	m.mu.Unlock()
+	m.nodes.close()
+	m.clusters.close()
 	m.cancel()
 	m.wg.Wait()
 	// Every producer has drained; closing the router flushes whatever the

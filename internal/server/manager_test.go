@@ -71,8 +71,23 @@ func TestConcurrentLifecycle(t *testing.T) {
 	}
 }
 
-// A subscriber that never reads must not stall the tick loop: the
-// simulation keeps advancing and the subscriber's drop counter grows.
+// fastCluster is a free-running two-node cluster, the cluster counterpart
+// of fastNode.
+func fastCluster() ClusterConfig {
+	return ClusterConfig{
+		BudgetWatts: 260,
+		FreeRun:     true,
+		EpochSimMS:  100,
+		Nodes: []ClusterNodeConfig{
+			{Technique: "RAPL", Workloads: []WorkloadConfig{{Benchmark: "kmeans", Threads: 8}}},
+			{Technique: "RAPL", Workloads: []WorkloadConfig{{Benchmark: "STREAM", Threads: 8}}},
+		},
+	}
+}
+
+// A subscriber that never reads must not stall the tick loop of a node or
+// a cluster: the simulation keeps advancing and the subscriber's drop
+// counter grows.
 func TestBlockedSubscriberDropsNotStalls(t *testing.T) {
 	mgr := NewManager()
 	defer mgr.Close()
@@ -80,12 +95,28 @@ func TestBlockedSubscriberDropsNotStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := n.Subscribe(2) // tiny buffer, never read
+	c, err := mgr.CreateCluster(fastCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("node", func(t *testing.T) {
+		blockedSubscriber(t, &n.live, func(s Sample) uint64 { return s.Epoch })
+	})
+	t.Run("cluster", func(t *testing.T) {
+		blockedSubscriber(t, &c.live, func(s ClusterSample) uint64 { return s.Epoch })
+	})
+}
+
+// blockedSubscriber holds a tiny-buffered subscriber of l unread for 100
+// epochs, then checks that it dropped samples and still gets the newest.
+func blockedSubscriber[S any](t *testing.T, l *live[S], epochOf func(S) uint64) {
+	sub := l.Subscribe(2) // tiny buffer, never read
+	start := l.Epoch()
 	deadline := time.After(30 * time.Second)
-	for n.Epoch() < 100 {
+	for l.Epoch() < start+100 {
 		select {
 		case <-deadline:
-			t.Fatalf("tick loop stalled at epoch %d behind a blocked subscriber", n.Epoch())
+			t.Fatalf("tick loop stalled at epoch %d behind a blocked subscriber", l.Epoch())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -95,14 +126,15 @@ func TestBlockedSubscriberDropsNotStalls(t *testing.T) {
 	// The newest samples still reach it once it finally reads.
 	smp, open := <-sub.C()
 	if !open {
-		t.Fatal("subscriber closed while node running")
+		t.Fatal("subscriber closed while running")
 	}
-	if smp.Epoch < 90 {
-		t.Errorf("buffered sample from epoch %d; eviction should keep the newest", smp.Epoch)
+	if epoch := epochOf(smp); epoch < start+90 {
+		t.Errorf("buffered sample from epoch %d; eviction should keep the newest", epoch)
 	}
 }
 
-// Close cancels every node, drains the loops, and closes all streams.
+// Close cancels every node and cluster, drains the loops, and closes all
+// streams.
 func TestManagerCloseGraceful(t *testing.T) {
 	mgr := NewManager()
 	a, err := mgr.Create(fastNode("STREAM"))
@@ -113,17 +145,31 @@ func TestManagerCloseGraceful(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := mgr.CreateCluster(fastCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
 	sub := a.Subscribe(4)
+	csub := c.Subscribe(4)
 	mgr.Close()
 	<-a.Done()
 	<-b.Done()
+	<-c.Done()
 	for range sub.C() { // must terminate: fan-out closed on shutdown
+	}
+	for range csub.C() {
 	}
 	if st := a.Status().State; st != StateStopped {
 		t.Errorf("node state after Close = %q, want stopped", st)
 	}
+	if st := c.Status().State; st != StateStopped {
+		t.Errorf("cluster state after Close = %q, want stopped", st)
+	}
 	if _, err := mgr.Create(fastNode("kmeans")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Create after Close: err = %v, want ErrClosed", err)
+	}
+	if _, err := mgr.CreateCluster(fastCluster()); !errors.Is(err, ErrClosed) {
+		t.Errorf("CreateCluster after Close: err = %v, want ErrClosed", err)
 	}
 	mgr.Close() // idempotent
 }

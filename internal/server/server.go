@@ -52,7 +52,11 @@ func New(mgr *Manager) *Server {
 	s.mux.HandleFunc("GET /v1/nodes/{id}", s.handleGet)
 	s.mux.HandleFunc("PUT /v1/nodes/{id}/cap", s.handleSetCap)
 	s.mux.HandleFunc("DELETE /v1/nodes/{id}", s.handleDelete)
-	s.mux.HandleFunc("GET /v1/nodes/{id}/stream", s.handleStream)
+	s.mux.HandleFunc("GET /v1/nodes/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		if n, ok := s.node(w, r); ok {
+			serveStream(w, r, &n.live)
+		}
+	})
 	s.mux.HandleFunc("POST /v1/nodes/{id}/faults", s.handleInjectFault)
 	s.mux.HandleFunc("GET /v1/nodes/{id}/faults", s.handleFaults)
 	s.clusterRoutes()
@@ -197,16 +201,26 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 // sink has retained from the pipeline, oldest first. ?max=N trims to the
 // newest N.
 func (s *Server) handleRecent(w http.ResponseWriter, r *http.Request) {
-	max := 0
-	if v := r.URL.Query().Get("max"); v != "" {
-		mx, err := strconv.Atoi(v)
-		if err != nil || mx < 1 {
-			writeError(w, fmt.Errorf("%w: bad max %q", ErrBadConfig, v))
-			return
-		}
-		max = mx
+	max, ok := positiveParam(w, r, "max", 0)
+	if !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"samples": s.mgr.Recent(max)})
+}
+
+// positiveParam parses the positive integer query parameter name, def when
+// it is absent; a malformed value is answered with a 400.
+func positiveParam(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		writeError(w, fmt.Errorf("%w: bad %s %q", ErrBadConfig, name, v))
+		return 0, false
+	}
+	return n, true
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -218,36 +232,22 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleStream pushes per-tick samples as newline-delimited JSON until the
-// client disconnects, the node stops, or ?max=N samples have been sent.
-// ?buffer=N sizes the subscriber's ring buffer (default 64); a consumer
-// slower than the tick rate loses the oldest samples, reported in each
-// record's dropped counter.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	n, ok := s.node(w, r)
+// serveStream pushes a live resource's samples as newline-delimited JSON
+// until the client disconnects, the resource stops, or ?max=N samples have
+// been sent. ?buffer=N sizes the subscriber's ring buffer (default 64); a
+// consumer slower than the tick rate loses the oldest samples, reported in
+// each record's dropped counter.
+func serveStream[S interface{ withDropped(uint64) S }](w http.ResponseWriter, r *http.Request, l *live[S]) {
+	buffer, ok := positiveParam(w, r, "buffer", 64)
 	if !ok {
 		return
 	}
-	buffer := 64
-	if v := r.URL.Query().Get("buffer"); v != "" {
-		b, err := strconv.Atoi(v)
-		if err != nil || b < 1 {
-			writeError(w, fmt.Errorf("%w: bad buffer %q", ErrBadConfig, v))
-			return
-		}
-		buffer = b
-	}
-	max := 0
-	if v := r.URL.Query().Get("max"); v != "" {
-		mx, err := strconv.Atoi(v)
-		if err != nil || mx < 1 {
-			writeError(w, fmt.Errorf("%w: bad max %q", ErrBadConfig, v))
-			return
-		}
-		max = mx
+	max, ok := positiveParam(w, r, "max", 0)
+	if !ok {
+		return
 	}
 
-	sub := n.Subscribe(buffer)
+	sub := l.Subscribe(buffer)
 	defer sub.Cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -257,11 +257,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		// Flush the response header immediately: the subscriber is
 		// registered, and a client must be able to observe that before
-		// the first sample arrives (an idle node may not tick for a
+		// the first sample arrives (an idle resource may not tick for a
 		// while).
 		flusher.Flush()
 	}
-	enc := pipeline.NewStreamEncoder(w)
+	enc := json.NewEncoder(w)
 	sent := 0
 	for {
 		select {
@@ -271,8 +271,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			smp.Dropped = sub.Dropped()
-			if err := enc.Encode(smp); err != nil {
+			if err := enc.Encode(smp.withDropped(sub.Dropped())); err != nil {
 				return
 			}
 			if flusher != nil {

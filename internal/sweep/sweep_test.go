@@ -41,6 +41,9 @@ func TestRunCollectsInCellOrder(t *testing.T) {
 	}
 }
 
+// TestRunFailFast: the first failure cancels the cells in flight and skips
+// the unstarted ones. Every other cell blocks until its context is
+// cancelled, so the outcome does not depend on which worker starts first.
 func TestRunFailFast(t *testing.T) {
 	var ran int64
 	boom := errors.New("boom")
@@ -54,7 +57,8 @@ func TestRunFailFast(t *testing.T) {
 				if i == 0 {
 					return 0, boom
 				}
-				return i, nil
+				<-ctx.Done()
+				return 0, ctx.Err()
 			},
 		}
 	}
