@@ -156,8 +156,8 @@ func newWorld(s Scenario, apps []*workload.Instance, rng *sim.RNG) *world {
 	for i := range apps {
 		w.rateTrace = append(w.rateTrace, sim.NewSeries(apps[i].Profile.Name))
 		// Applications report progress through the heartbeat interface
-		// (Section 3.1.1); retain ~40 s of 10 ms reports.
-		w.heartbeats = append(w.heartbeats, heartbeat.NewMonitor(apps[i].Profile.Name, 4096))
+		// (Section 3.1.1).
+		w.heartbeats = append(w.heartbeats, heartbeat.NewMonitor(apps[i].Profile.Name, heartbeatRetention))
 	}
 
 	// The injector is always built — an empty profile makes every hook the
@@ -245,6 +245,13 @@ func (w *world) growTraces(d time.Duration) {
 		w.configLog = append(make([]ConfigEvent, 0, configLogCap), w.configLog...)
 	}
 }
+
+// heartbeatRetention is how many reports each application's heartbeat
+// monitor keeps. Its only reader, appSignal, asks for the trailing sensor
+// period, which holds one 10 ms report; 64 reports (640 ms, 1 KB per
+// application) cover that window with ample slack. A longer history would
+// cost every session memory that nothing reads.
+const heartbeatRetention = 64
 
 // appSignal is one application's heartbeat rate over the last reporting
 // interval, normalized by its isolated rate when weights are configured.
@@ -771,6 +778,7 @@ func (w *world) result(s Scenario) Result {
 	// Performance convergence (the efficiency half of Fig. 1): judged on
 	// the smoothed true aggregate rate.
 	perfTrue := sim.NewSeries("perf_true")
+	perfTrue.Grow(w.truePower.Len())
 	for i, sm := range w.truePower.Samples {
 		total := 0.0
 		for _, tr := range w.rateTrace {

@@ -84,6 +84,7 @@ func Smooth(s *sim.Series, window time.Duration) *sim.Series {
 	if s.Len() == 0 {
 		return out
 	}
+	out.Grow(s.Len())
 	start := 0
 	sum := 0.0
 	for i, sm := range s.Samples {

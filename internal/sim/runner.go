@@ -85,14 +85,25 @@ func (r *Runner) RunContext(ctx context.Context, d time.Duration) error {
 }
 
 // run is the kernel loop. A nil ctx (the legacy Run/RunUntil paths) is
-// never cancelled and costs nothing to check.
+// never cancelled.
+//
+// The per-tick check is a non-blocking receive on ctx.Done(), taken once
+// per call, and ctx.Err() is read only after that channel has closed: a
+// cancellable context's Err locks the context's mutex, and all workers of
+// a sweep share one context, so an Err per tick would contend that mutex
+// across the workers every simulated millisecond. A nil Done channel (a nil
+// or never-cancelled ctx) never becomes ready.
 func (r *Runner) run(ctx context.Context, d time.Duration, stop func(now time.Duration) bool) error {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	end := r.Clock.Now() + d
 	for r.Clock.Now() < end {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
 		r.Clock.Advance(Tick)
 		now := r.Clock.Now()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -235,5 +237,48 @@ func TestRunnerRoundsPeriodUp(t *testing.T) {
 	// Rounded up to 2ms -> fires at 2,4,6,8,10.
 	if len(tk.fires) != 5 {
 		t.Errorf("ticker fired %d times, want 5 after rounding to 2ms", len(tk.fires))
+	}
+}
+
+// errCounter is a context that counts the calls to its Err method.
+type errCounter struct {
+	context.Context
+	errs int
+}
+
+func (c *errCounter) Err() error {
+	c.errs++
+	return c.Context.Err()
+}
+
+// TestRunContextPollsDone pins the kernel's cancellation contract: the
+// per-tick check polls the context's Done channel, so a run that is never
+// cancelled reads Err at most once however many ticks it simulates, and a
+// cancellation raised during a tick stops the run before the next one with
+// the context's error.
+func TestRunContextPollsDone(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	counted := &errCounter{Context: ctx}
+	r := NewRunner(&countingWorld{})
+	if err := r.RunContext(counted, 1000*Tick); err != nil {
+		t.Fatalf("uncancelled RunContext = %v, want nil", err)
+	}
+	if r.Clock.Now() != 1000*Tick {
+		t.Errorf("uncancelled run stopped at %v, want %v", r.Clock.Now(), 1000*Tick)
+	}
+	if counted.errs > 1 {
+		t.Errorf("Err called %d times during a 1000-tick run, want at most 1", counted.errs)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	r = NewRunner(&countingWorld{})
+	r.Register(tickFunc{p: 250 * time.Millisecond, f: func(time.Duration) { cancel() }})
+	if err := r.RunContext(ctx, time.Second); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+	if r.Clock.Now() != 250*time.Millisecond {
+		t.Errorf("cancelled run stopped at %v, want exactly 250ms", r.Clock.Now())
 	}
 }

@@ -78,18 +78,21 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) ([]T, error)
 	defer cancel()
 
 	errs := make([]error, len(cells))
-	var (
-		next int64 = -1 // next cell index, claimed atomically
-		done int64
+	// The workers' shared state is one struct, so it costs one heap
+	// allocation rather than one per field: a cluster epoch is a sweep, so
+	// this runs once per epoch.
+	var pool struct {
+		next atomic.Int64 // next cell index, claimed atomically
+		done atomic.Int64
 		mu   sync.Mutex // serializes Progress callbacks
 		wg   sync.WaitGroup
-	)
+	}
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		pool.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer pool.wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1))
+				i := int(pool.next.Add(1) - 1)
 				if i >= len(cells) || runCtx.Err() != nil {
 					return
 				}
@@ -104,16 +107,16 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) ([]T, error)
 				} else {
 					results[i] = v
 				}
-				d := int(atomic.AddInt64(&done, 1))
+				d := int(pool.done.Add(1))
 				if opts.Progress != nil {
-					mu.Lock()
+					pool.mu.Lock()
 					opts.Progress(d, len(cells), c.Label)
-					mu.Unlock()
+					pool.mu.Unlock()
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	pool.wg.Wait()
 
 	var failures []error
 	for _, e := range errs {
