@@ -148,17 +148,6 @@ type ZonePower struct {
 	CapWatts float64 `json:"cap_watts,omitempty"`
 }
 
-// ZonePowers appends the node's current per-socket zone readings to buf
-// and returns the extended slice: for each socket, the package total
-// (carrying the firmware's programmed cap), then the core and dram
-// components. Components sum to the package total.
-func (s *Session) ZonePowers(buf []ZonePower) []ZonePower {
-	if s.w.evalStale {
-		s.w.refresh(s.Now())
-	}
-	return s.w.zonePowers(buf)
-}
-
 // SocketTherm is one socket's live thermal state: the junction
 // temperature of a package zone, whether the hardware protection is
 // clock-throttling it, and the thermal-headroom governor's engagement and
@@ -176,13 +165,6 @@ type SocketTherm struct {
 	// governor is armed).
 	Governed bool    `json:"governed,omitempty"`
 	CapScale float64 `json:"cap_scale"`
-}
-
-// Thermals appends the node's live per-socket thermal state to buf and
-// returns the extended slice; it appends nothing on platforms without a
-// thermal model.
-func (s *Session) Thermals(buf []SocketTherm) []SocketTherm {
-	return s.w.thermals(buf)
 }
 
 // MeanPower returns the node's mean true power over the trailing window.

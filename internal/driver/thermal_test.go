@@ -181,8 +181,8 @@ func TestLeakageFeedbackLoopCostsPerformance(t *testing.T) {
 	}
 }
 
-// Snapshot and Thermals expose the live thermal state, and omit it
-// entirely on platforms without a thermal model.
+// Snapshot exposes the live thermal state, and omits it entirely on
+// platforms without a thermal model.
 func TestSessionThermalSnapshot(t *testing.T) {
 	sess, err := NewSession(Scenario{
 		Platform:        hotPlatform(),
@@ -211,8 +211,8 @@ func TestSessionThermalSnapshot(t *testing.T) {
 			t.Errorf("zone %d cap scale %.2f outside (0, 1]", s, st.CapScale)
 		}
 	}
-	if got := sess.Thermals(nil); len(got) != 2 {
-		t.Fatalf("Thermals returned %d entries, want 2", len(got))
+	if got := sess.Snapshot().Thermal; len(got) != 2 {
+		t.Fatalf("a second snapshot has %d thermal entries, want 2", len(got))
 	}
 
 	bare := machine.E52690Server()

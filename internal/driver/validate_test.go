@@ -3,6 +3,7 @@ package driver
 import (
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -102,5 +103,43 @@ func TestSessionSnapshot(t *testing.T) {
 	}
 	if got := s.Snapshot().CapWatts; got != 90 {
 		t.Errorf("after SetCap(90), Snapshot.CapWatts = %g", got)
+	}
+}
+
+// TestSessionSnapshotZones checks the RAPL-style zone breakdown of a live
+// session: each socket reports its package zone, carrying the firmware's
+// programmed cap, then core and dram subzones, and the package zones sum
+// to at most the node's total power.
+func TestSessionSnapshotZones(t *testing.T) {
+	plat := machine.E52690Server()
+	s, err := NewSession(Scenario{
+		Platform:   plat,
+		Specs:      specs(t, 32, "jacobi"),
+		CapWatts:   140,
+		Controller: control.NewRAPLOnly(),
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Advance(5 * time.Second)
+	sn := s.Snapshot()
+	if len(sn.Zones) != 3*plat.Sockets {
+		t.Fatalf("Snapshot.Zones has %d entries, want 3 per socket: %+v", len(sn.Zones), sn.Zones)
+	}
+	var pkgSum float64
+	for sock := 0; sock < plat.Sockets; sock++ {
+		pkg, core, dram := sn.Zones[3*sock], sn.Zones[3*sock+1], sn.Zones[3*sock+2]
+		name := "package_" + strconv.Itoa(sock)
+		if pkg.Zone != name || core.Zone != name+"_core" || dram.Zone != name+"_dram" {
+			t.Errorf("socket %d zones = %q, %q, %q", sock, pkg.Zone, core.Zone, dram.Zone)
+		}
+		if want := s.w.firmwares[sock].Cap(); pkg.CapWatts <= 0 || pkg.CapWatts != want {
+			t.Errorf("%s cap = %g W, want the firmware's %g W", name, pkg.CapWatts, want)
+		}
+		pkgSum += pkg.PowerWatts
+	}
+	if pkgSum <= 0 || pkgSum > sn.PowerWatts*1.01 {
+		t.Errorf("package zones sum to %.2f W against node total %.2f W", pkgSum, sn.PowerWatts)
 	}
 }

@@ -333,13 +333,13 @@ func ClusterEpoch10k(b *testing.B) {
 }
 
 // RouterPublish measures the telemetry pipeline's intake: one op pushes a
-// node-tick-shaped sample through the router to an in-memory ring sink at
-// the default queue/batch configuration. The op must sustain well over
-// 100k samples/s with zero drops — a drop here means the backpressure
-// path would be lossy for an ordinary single-node publisher, so the
-// benchmark fails rather than reporting a misleading ns/op.
+// node-tick-shaped sample through the router to an in-memory ring sink.
+// The op must sustain well over 100k samples/s with zero drops — a drop
+// here means the backpressure path would be lossy for an ordinary
+// single-node publisher, so the benchmark fails rather than reporting a
+// misleading ns/op.
 func RouterPublish(b *testing.B) {
-	r := pipeline.NewRouter(pipeline.Config{})
+	r := pipeline.NewRouter()
 	if err := r.AddSink("ring", pipeline.NewRing(4096)); err != nil {
 		b.Fatal(err)
 	}
@@ -355,6 +355,6 @@ func RouterPublish(b *testing.B) {
 		b.Fatal(err)
 	}
 	if dropped := r.Dropped(); dropped > 0 {
-		b.Fatalf("router dropped %d of %d samples at default config", dropped, b.N)
+		b.Fatalf("router dropped %d of %d samples", dropped, b.N)
 	}
 }

@@ -12,6 +12,15 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
+// staticCollector emits a fixed set of samples.
+type staticCollector struct {
+	fams    []MetricFamily
+	samples []Sample
+}
+
+func (c staticCollector) Families() []MetricFamily      { return c.fams }
+func (c staticCollector) Collect(out []Sample) []Sample { return append(out, c.samples...) }
+
 // TestExpositionGolden pins the rendered page byte for byte: header
 // layout, label order and escaping, and gauge/counter value formatting.
 // Regenerate with -update.

@@ -1,18 +1,16 @@
 // Package pipeline is the telemetry subsystem behind pupild's exporters:
-// a collector → router → sink architecture in the shape of
-// cc-metric-collector, scaled down to this repository's needs.
+// typed Samples pushed through a router to sinks, plus the Prometheus text
+// page that collectors render at scrape time.
 //
-// Collectors adapt existing sample sources — driver sessions, cluster
-// coordinators, sim sensors — into streams of typed Samples grouped into
-// MetricFamily declarations. The Router fans published samples out to any
-// number of Sinks, each behind its own bounded queue drained by a worker
-// goroutine in batches: a stalled sink drops samples (counted, holding
-// the publisher at most 100 ms per stall), and Close stops intake, drains
-// every queue in publish order, flushes, and closes the sinks. Sinks
-// serialize batches: NDJSON streams, an in-memory ring for tests and the
-// /v1/telemetry/recent endpoint, and CSV experiment artifacts. The
-// Prometheus text Exposition page is not a sink: it gathers its
-// collectors at scrape time.
+// The Router fans published samples out to any number of Sinks. Each sink
+// subscribes to one telemetry.Fanout with its own bounded queue, drained
+// by a worker goroutine in batches: a stalled sink drops samples (counted,
+// holding the publisher at most 100 ms per stall), and Close stops intake,
+// drains every queue in publish order, flushes, and closes the sinks.
+// Sinks serialize batches: NDJSON streams, an in-memory ring for tests and
+// the /v1/telemetry/recent endpoint, and CSV experiment artifacts. The
+// Prometheus text Exposition page is not a sink: it gathers its Collectors
+// at scrape time.
 //
 // Zone-labeled samples carry RAPL-style power zones ("package_0",
 // "package_0_core", "package_0_dram") so subsystem-level families such as
@@ -38,8 +36,8 @@ func (k Kind) String() string {
 }
 
 // MetricFamily declares one named series family: its exposition name, help
-// text, and kind. Collectors declare their families up front so sinks can
-// emit headers even for families with no samples yet.
+// text, and kind. Collectors declare their families up front so the
+// exposition page can emit headers even for families with no samples yet.
 type MetricFamily struct {
 	Name string
 	Help string
@@ -72,10 +70,11 @@ type Sample struct {
 	Value float64 `json:"value"`
 }
 
-// Collector turns a live source into samples on demand. Families declares
-// every family Collect may emit, in presentation order; Collect appends
-// the current samples to out and returns the extended slice, so callers
-// can reuse one scratch buffer across gathers.
+// Collector turns a live source into samples on demand — an Exposition
+// gatherer. Families declares every family Collect may emit, in
+// presentation order; Collect appends the current samples to out and
+// returns the extended slice, so callers can reuse one scratch buffer
+// across gathers.
 type Collector interface {
 	Families() []MetricFamily
 	Collect(out []Sample) []Sample

@@ -60,7 +60,7 @@ func (m *memSink) got() []Sample {
 // the sink is flushed then closed exactly once.
 func TestRouterCloseFlushesQueuedBatches(t *testing.T) {
 	sink := &memSink{}
-	r := NewRouter(Config{QueueSize: 4096, BatchSize: 64, FlushInterval: time.Hour})
+	r := NewRouter()
 	if err := r.AddSink("mem", sink); err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +91,9 @@ func TestRouterCloseFlushesQueuedBatches(t *testing.T) {
 }
 
 // TestRouterPublishAfterClose: publishing to a closed router must never
-// panic — it is a counted no-op.
+// panic — it is a no-op that publishes nothing.
 func TestRouterPublishAfterClose(t *testing.T) {
-	r := NewRouter(Config{})
+	r := NewRouter()
 	if err := r.AddSink("mem", &memSink{}); err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestRouterPublishAfterClose(t *testing.T) {
 	if r.PublishBatch([]Sample{{Family: "f"}, {Family: "g"}}) {
 		t.Error("PublishBatch accepted after Close")
 	}
-	if got := r.Rejected(); got != 3 {
-		t.Errorf("Rejected = %d, want 3", got)
+	if got := r.Published(); got != 0 {
+		t.Errorf("Published = %d after publishing only to a closed router, want 0", got)
 	}
 	if err := r.AddSink("late", &memSink{}); !errors.Is(err, ErrRouterClosed) {
 		t.Errorf("AddSink after Close: err = %v, want ErrRouterClosed", err)
@@ -123,7 +123,7 @@ func TestRouterPublishAfterClose(t *testing.T) {
 // consistent (accepted = delivered + dropped).
 func TestRouterConcurrentPublishDuringClose(t *testing.T) {
 	sink := &memSink{}
-	r := NewRouter(Config{QueueSize: 64, BatchSize: 8, FlushInterval: time.Millisecond})
+	r := NewRouter()
 	if err := r.AddSink("mem", sink); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRouterConcurrentPublishDuringClose(t *testing.T) {
 func TestRouterSlowSinkDropsNotBlocks(t *testing.T) {
 	release := make(chan struct{})
 	sink := &memSink{block: release}
-	r := NewRouter(Config{QueueSize: 8, BatchSize: 4, FlushInterval: time.Hour})
+	r := NewRouter()
 	if err := r.AddSink("slow", sink); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRouterSlowSinkDropsNotBlocks(t *testing.T) {
 // pushing 100k samples through the default configuration loses nothing.
 func TestRouterThroughputNoDrops(t *testing.T) {
 	sink := &memSink{}
-	r := NewRouter(Config{})
+	r := NewRouter()
 	if err := r.AddSink("mem", sink); err != nil {
 		t.Fatal(err)
 	}
@@ -224,17 +224,17 @@ func TestRouterDropWarnRateLimited(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	var warns atomic.Int64
-	r := NewRouter(Config{QueueSize: 4, BatchSize: 4, FlushInterval: time.Hour})
-	r.SetDropWarn(time.Hour, func(sink string, dropped uint64) {
-		if sink != "slow" || dropped == 0 {
-			panic(fmt.Sprintf("warn(%q, %d)", sink, dropped))
+	r := NewRouter()
+	r.SetDropWarn(time.Hour, func(dropped uint64) {
+		if dropped == 0 {
+			panic(fmt.Sprintf("warn(%d)", dropped))
 		}
 		warns.Add(1)
 	})
 	if err := r.AddSink("slow", &memSink{block: release}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5_000; i++ {
+	for i := 0; i < 10_000; i++ { // past the 8192-sample queue and a 256-sample batch
 		r.Publish(Sample{Family: "f"})
 	}
 	if r.Dropped() < 2 {
@@ -248,7 +248,7 @@ func TestRouterDropWarnRateLimited(t *testing.T) {
 // TestRouterWriteErrorsCounted: a failing sink is accounted, not fatal.
 func TestRouterWriteErrorsCounted(t *testing.T) {
 	sink := &memSink{failure: errors.New("disk full")}
-	r := NewRouter(Config{BatchSize: 1, FlushInterval: time.Hour})
+	r := NewRouter()
 	if err := r.AddSink("bad", sink); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestRouterWriteErrorsCounted(t *testing.T) {
 }
 
 func TestRouterDuplicateSinkName(t *testing.T) {
-	r := NewRouter(Config{})
+	r := NewRouter()
 	defer r.Close()
 	if err := r.AddSink("a", &memSink{}); err != nil {
 		t.Fatal(err)
@@ -276,66 +276,9 @@ func TestRouterDuplicateSinkName(t *testing.T) {
 	}
 }
 
-// staticCollector emits a fixed set of samples.
-type staticCollector struct {
-	fams    []MetricFamily
-	samples []Sample
-}
-
-func (c staticCollector) Families() []MetricFamily      { return c.fams }
-func (c staticCollector) Collect(out []Sample) []Sample { return append(out, c.samples...) }
-
-// TestRouterGather pulls registered collectors through the push path.
-func TestRouterGather(t *testing.T) {
-	sink := &memSink{}
-	r := NewRouter(Config{BatchSize: 1, FlushInterval: time.Hour})
-	if err := r.AddSink("mem", sink); err != nil {
-		t.Fatal(err)
-	}
-	r.AddCollector(staticCollector{samples: []Sample{
-		{Family: "a", Value: 1},
-		{Family: "b", Value: 2},
-	}})
-	if got := r.Gather(); got != 2 {
-		t.Fatalf("Gather = %d, want 2", got)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sink.got(); len(got) != 2 || got[0].Family != "a" || got[1].Family != "b" {
-		t.Errorf("gathered samples = %+v", got)
-	}
-	if r.Gather() != 0 {
-		t.Error("Gather after Close published samples")
-	}
-}
-
-// TestRouterCollectEvery runs the periodic gatherer until stopped.
-func TestRouterCollectEvery(t *testing.T) {
-	ring := NewRing(16)
-	r := NewRouter(Config{BatchSize: 1, FlushInterval: time.Millisecond})
-	if err := r.AddSink("ring", ring); err != nil {
-		t.Fatal(err)
-	}
-	r.AddCollector(staticCollector{samples: []Sample{{Family: "tick", Value: 1}}})
-	stop := r.CollectEvery(time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for ring.Total() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ring.Total() == 0 {
-		t.Error("periodic collection produced no samples")
-	}
-}
-
 // TestRouterStatsCollector renders the router's own accounting.
 func TestRouterStatsCollector(t *testing.T) {
-	r := NewRouter(Config{BatchSize: 1, FlushInterval: time.Millisecond})
+	r := NewRouter()
 	if err := r.AddSink("mem", &memSink{}); err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func (l *live[S]) setup(res resource[S], what, source string, tickSim, tickReal 
 	}
 	l.maxSim = time.Duration(maxSimS * float64(time.Second))
 	l.state = StateRunning
-	l.fan = telemetry.NewFanout[S]()
+	l.fan = telemetry.NewFanout[S](0)
 	l.done = make(chan struct{})
 	res.snapshot()
 	l.publishStatus()

@@ -466,7 +466,7 @@ type Manager struct {
 const DefaultRecentSamples = 1024
 
 // NewManager returns an empty manager ready to create nodes, with a
-// default-tuned telemetry router.
+// running telemetry router.
 func NewManager() *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -474,12 +474,12 @@ func NewManager() *Manager {
 		clusters: registry[*Cluster]{prefix: "c"},
 		ctx:      ctx,
 		cancel:   cancel,
-		router:   pipeline.NewRouter(pipeline.Config{}),
+		router:   pipeline.NewRouter(),
 		recent:   pipeline.NewRing(DefaultRecentSamples),
 	}
 	_ = m.router.AddSink("recent", m.recent)
-	m.router.SetDropWarn(5*time.Second, func(sink string, dropped uint64) {
-		log.Printf("server: telemetry sink %q lagging; %d samples dropped so far", sink, dropped)
+	m.router.SetDropWarn(5*time.Second, func(dropped uint64) {
+		log.Printf("server: telemetry sink lagging; %d samples dropped so far across sinks", dropped)
 	})
 	return m
 }

@@ -1,11 +1,6 @@
 package server
 
-import (
-	"io"
-	"net/http"
-
-	"pupil/internal/pipeline"
-)
+import "pupil/internal/pipeline"
 
 // The exporter follows the Prometheus text exposition conventions of the
 // RAPL-exporter exemplar: one HELP/TYPE header per family, one sample per
@@ -26,15 +21,4 @@ func newExposition(s *Server) *pipeline.Exposition {
 	expo.AddGatherer(s.mgr.Router().StatsCollector())
 	expo.AddGatherer(httpCollector{s: s})
 	return expo
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", pipeline.ContentType)
-	_, _ = s.expo.WriteTo(w)
-}
-
-// writeMetrics renders the exposition page to w; tests use it to scrape
-// without going through HTTP.
-func (s *Server) writeMetrics(w io.Writer) {
-	_, _ = s.expo.WriteTo(w)
 }

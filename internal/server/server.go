@@ -45,7 +45,7 @@ func New(mgr *Manager) *Server {
 	s := &Server{mgr: mgr, mux: http.NewServeMux()}
 	s.expo = newExposition(s)
 	s.mux.HandleFunc("GET /health", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", s.expo)
 	s.mux.HandleFunc("GET /v1/telemetry/recent", s.handleRecent)
 	s.mux.HandleFunc("POST /v1/nodes", s.handleCreate)
 	s.mux.HandleFunc("GET /v1/nodes", s.handleList)
@@ -232,14 +232,24 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// maxStreamBuffer caps a stream's ?buffer=, in samples. The subscriber's
+// channel is allocated whole at subscribe time, so an unbounded value lets
+// one request claim any amount of memory; the largest in-repo client asks
+// for 1024.
+const maxStreamBuffer = 4096
+
 // serveStream pushes a live resource's samples as newline-delimited JSON
 // until the client disconnects, the resource stops, or ?max=N samples have
-// been sent. ?buffer=N sizes the subscriber's ring buffer (default 64); a
-// consumer slower than the tick rate loses the oldest samples, reported in
-// each record's dropped counter.
+// been sent. ?buffer=N sizes the subscriber's ring buffer (default 64, at
+// most maxStreamBuffer); a consumer slower than the tick rate loses the
+// oldest samples, reported in each record's dropped counter.
 func serveStream[S interface{ withDropped(uint64) S }](w http.ResponseWriter, r *http.Request, l *live[S]) {
 	buffer, ok := positiveParam(w, r, "buffer", 64)
 	if !ok {
+		return
+	}
+	if buffer > maxStreamBuffer {
+		writeError(w, fmt.Errorf("%w: buffer %d exceeds the maximum of %d samples", ErrBadConfig, buffer, maxStreamBuffer))
 		return
 	}
 	max, ok := positiveParam(w, r, "max", 0)

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -84,6 +85,7 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 		{"node fault zero duration", "POST", "/v1/nodes/" + liveNode + "/faults", `{"kind": "stuck", "target": "power-sensor"}`, 400},
 		{"node stream zero buffer", "GET", "/v1/nodes/" + liveNode + "/stream?buffer=0", "", 400},
 		{"node stream bad max", "GET", "/v1/nodes/" + liveNode + "/stream?max=-2", "", 400},
+		{"node stream oversize buffer", "GET", "/v1/nodes/" + liveNode + "/stream?buffer=4097", "", 400},
 
 		// --- 400: invalid input, cluster API.
 		{"cluster create bad json", "POST", "/v1/clusters", `{`, 400},
@@ -101,6 +103,7 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 		{"cluster fault bad kind", "POST", "/v1/clusters/" + liveCluster + "/faults", `{"kind": "melt", "target": "node", "duration_s": 1, "node": 0}`, 400},
 		{"cluster stream zero buffer", "GET", "/v1/clusters/" + liveCluster + "/stream?buffer=0", "", 400},
 		{"cluster stream bad max", "GET", "/v1/clusters/" + liveCluster + "/stream?max=-2", "", 400},
+		{"cluster stream oversize buffer", "GET", "/v1/clusters/" + liveCluster + "/stream?buffer=4097", "", 400},
 
 		// --- 404: unknown resources, node API.
 		{"node get missing", "GET", "/v1/nodes/n999", "", 404},
@@ -150,5 +153,12 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// An oversize stream buffer is refused with the limit named, so the
+	// client can correct its request.
+	_, body := doJSON(t, "GET", ts.URL+"/v1/nodes/"+liveNode+"/stream?buffer=4097", "")
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "4096") {
+		t.Errorf("oversize buffer error %q does not name the 4096-sample limit", msg)
 	}
 }

@@ -1,19 +1,28 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Fanout broadcasts values to any number of subscribers, each behind its
-// own bounded ring buffer. Publish never blocks: when a subscriber's buffer
-// is full its oldest value is evicted to make room, so a slow or stalled
-// consumer loses samples instead of stalling the producer — the contract a
-// simulation tick loop needs when streaming telemetry to network clients.
+// own bounded buffer. When a subscriber's buffer is full its oldest value
+// is evicted to make room, so a slow or stalled consumer loses values
+// instead of stalling the producer — the contract a simulation tick loop
+// needs when streaming telemetry to network clients or to sinks.
+//
+// A fan-out built with a positive stall first waits up to that long for a
+// full subscriber to take a value before evicting. A wait that times out
+// marks the subscriber stalled: later publishes evict without waiting
+// until one finds room again, so a wedged consumer costs its publishers
+// one wait per stall rather than one per value.
 type Fanout[T any] struct {
+	stall time.Duration
+
 	mu     sync.Mutex
-	subs   map[*Subscriber[T]]struct{}
+	subs   []*Subscriber[T] // in registration order, the order Publish offers in
 	closed bool
 
 	// total counts drops across every subscriber, surviving Cancel — the
@@ -31,11 +40,15 @@ type Subscriber[T any] struct {
 	f       *Fanout[T]
 	ch      chan T
 	dropped atomic.Uint64
+	// stalled is set when a full-buffer wait times out and cleared by the
+	// next send that finds room. Guarded by f.mu.
+	stalled bool
 }
 
-// NewFanout returns an empty fan-out.
-func NewFanout[T any]() *Fanout[T] {
-	return &Fanout[T]{subs: make(map[*Subscriber[T]]struct{})}
+// NewFanout returns an empty fan-out whose Publish waits at most stall on
+// a full subscriber before evicting; 0 never waits.
+func NewFanout[T any](stall time.Duration) *Fanout[T] {
+	return &Fanout[T]{stall: stall}
 }
 
 // Subscribe registers a subscriber buffering at most buffer values
@@ -52,50 +65,67 @@ func (f *Fanout[T]) Subscribe(buffer int) *Subscriber[T] {
 		close(sub.ch)
 		return sub
 	}
-	f.subs[sub] = struct{}{}
+	f.subs = append(f.subs, sub)
 	return sub
 }
 
-// Publish offers v to every subscriber without blocking. A subscriber
-// whose buffer is full has its oldest value dropped (and its drop counter
-// incremented) to make room. Publishing to a closed fan-out is a no-op.
-func (f *Fanout[T]) Publish(v T) {
+// Publish offers v to every subscriber in registration order and reports
+// whether it was accepted; after Close it is a no-op returning false. A
+// subscriber whose buffer is full has its oldest value dropped (and its
+// drop counter incremented) to make room, after waiting up to the
+// fan-out's stall for the subscriber to take one. The wait holds the
+// fan-out lock, which is what orders every send before Cancel or Close
+// closes the channel.
+func (f *Fanout[T]) Publish(v T) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return
+		return false
 	}
-	for sub := range f.subs {
-		sub.offer(v)
+	for _, sub := range f.subs {
+		f.offer(sub, v)
 	}
+	return true
 }
 
-func (sub *Subscriber[T]) offer(v T) {
+func (f *Fanout[T]) offer(sub *Subscriber[T], v T) {
 	select {
 	case sub.ch <- v:
+		if sub.stalled { // write only on change: this runs on every send
+			sub.stalled = false
+		}
 		return
 	default:
+	}
+	if f.stall > 0 && !sub.stalled {
+		t := time.NewTimer(f.stall)
+		select {
+		case sub.ch <- v:
+			t.Stop()
+			return
+		case <-t.C:
+			sub.stalled = true
+		}
 	}
 	// Full: evict the oldest, then retry once. A concurrent receiver may
 	// have drained the channel in between, in which case the eviction
 	// select falls through and the send succeeds.
 	select {
 	case <-sub.ch:
-		sub.dropped.Add(1)
-		sub.f.noteDrop()
+		f.noteDrop(sub)
 	default:
 	}
 	select {
 	case sub.ch <- v:
 	default:
-		sub.dropped.Add(1)
-		sub.f.noteDrop()
+		f.noteDrop(sub)
 	}
 }
 
-// noteDrop accounts one lost value and fires the lag warning at most once
-// per warnMin. Called with f.mu held (offer only runs under Publish).
-func (f *Fanout[T]) noteDrop() {
+// noteDrop accounts one value lost by sub and fires the lag warning at
+// most once per warnMin. Called with f.mu held.
+func (f *Fanout[T]) noteDrop(sub *Subscriber[T]) {
+	sub.dropped.Add(1)
 	n := f.total.Add(1)
 	if f.warnFn == nil {
 		return
@@ -139,10 +169,10 @@ func (f *Fanout[T]) Close() {
 		return
 	}
 	f.closed = true
-	for sub := range f.subs {
+	for _, sub := range f.subs {
 		close(sub.ch)
-		delete(f.subs, sub)
 	}
+	f.subs = nil
 }
 
 // C is the subscriber's receive channel; it is closed when the fan-out is
@@ -158,9 +188,10 @@ func (sub *Subscriber[T]) Dropped() uint64 { return sub.dropped.Load() }
 func (sub *Subscriber[T]) Cancel() {
 	sub.f.mu.Lock()
 	defer sub.f.mu.Unlock()
-	if _, ok := sub.f.subs[sub]; !ok {
+	i := slices.Index(sub.f.subs, sub)
+	if i < 0 {
 		return
 	}
-	delete(sub.f.subs, sub)
+	sub.f.subs = slices.Delete(sub.f.subs, i, i+1)
 	close(sub.ch)
 }

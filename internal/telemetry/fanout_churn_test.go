@@ -15,7 +15,7 @@ import (
 // exactly the survivors.
 func TestFanoutChurnStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
-	f := NewFanout[int]()
+	f := NewFanout[int](0)
 
 	stop := make(chan struct{})
 	var pub sync.WaitGroup
@@ -104,7 +104,7 @@ func TestFanoutChurnStorm(t *testing.T) {
 // least every live subscriber's count, and keeps counting drops from
 // subscribers that cancelled long ago.
 func TestFanoutChurnDropAccounting(t *testing.T) {
-	f := NewFanout[int]()
+	f := NewFanout[int](0)
 	defer f.Close()
 
 	// A one-slot subscriber that never reads: every publish past the first
