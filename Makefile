@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race bench bench-baseline bench-scale bench-sweep load load-baseline
+.PHONY: check fmt vet build test test-short race artifacts-check bench bench-baseline bench-scale bench-sweep load load-baseline
 
 # check is the CI gate: formatting, static analysis, build, and the full
 # test suite under the race detector.
@@ -26,6 +26,17 @@ test-short:
 
 race:
 	$(GO) test -race ./...
+
+# artifacts-check regenerates the full evaluation (seed 42) into a scratch
+# directory and diffs it against the committed artifacts/: every CSV and
+# the printed tables (full_output.txt; the timing line goes to stderr) must
+# reproduce byte for byte. After a deliberate change to experiment output,
+# regenerate with `go run ./cmd/paperrepro -csv artifacts >
+# artifacts/full_output.txt` and commit the diff.
+artifacts-check:
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run ./cmd/paperrepro -csv "$$d" > "$$d/full_output.txt" && \
+	diff -r artifacts "$$d" && echo "artifacts reproduce byte for byte"
 
 # bench runs the hot-path suite (tick, session-advance, sweep-cell,
 # server-tick, cluster-epoch flat and at 100 hierarchical nodes) best-of-3

@@ -6,14 +6,14 @@
 //
 //	paperrepro [-quick] [-seed N] [-parallel N] [-csv DIR] [-only LIST]
 //
-// -only selects a comma-separated subset of experiment names:
-// table1,table2,fig1,eas,table3,fig3,fig4,fig5,table4,table5,fig6,table6,fig7,fig8,
-// sensitivity,chaos,cluster,hierarchy,chaoscluster,thermal. Unknown names are
-// error (a typo would otherwise silently reproduce nothing).
+// -only selects a comma-separated subset of the experiments that
+// `paperrepro -h` lists. Unknown names are an error (a typo would otherwise
+// silently reproduce nothing).
 //
 // -parallel bounds the sweep worker pool (default: all cores). Results are
 // bit-identical at any parallelism; only wall-clock changes. Progress for
-// the big grids is reported on stderr, and Ctrl-C cancels mid-simulation.
+// each experiment's grid is reported on stderr, and Ctrl-C cancels
+// mid-simulation.
 package main
 
 import (
@@ -23,30 +23,20 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"pupil/internal/experiment"
-	"pupil/internal/machine"
-	"pupil/internal/report"
 	"pupil/internal/sweep"
 )
-
-// experimentNames lists every -only selector, in presentation order.
-var experimentNames = []string{
-	"table1", "table2", "fig1", "table3", "fig3", "fig4", "fig5",
-	"table4", "table5", "fig6", "table6", "fig7", "sensitivity",
-	"eas", "fig8", "chaos", "cluster", "hierarchy", "chaoscluster",
-	"thermal",
-}
 
 func main() {
 	quick := flag.Bool("quick", false, "run the reduced grid (3 caps, 8 benchmarks, shorter runs)")
 	seed := flag.Uint64("seed", 42, "random seed for the whole reproduction")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (<= 0 means all cores)")
 	csvDir := flag.String("csv", "", "directory to write CSV artifacts into (created if missing)")
-	only := flag.String("only", "", "comma-separated subset of experiments to run")
+	only := flag.String("only", "", "comma-separated subset of experiments to run: "+strings.Join(names(), ","))
 	flag.Parse()
 
 	cfg := experiment.Config{Seed: *seed, Quick: *quick}
@@ -54,7 +44,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	want := func(name string) bool { return len(sel) == 0 || sel[name] }
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -66,209 +55,64 @@ func main() {
 	// every in-flight cell through driver.RunContext.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opts := func(grid string) experiment.RunOpts {
-		return experiment.RunOpts{Parallel: *parallel, Progress: progressPrinter(grid)}
-	}
 
 	start := time.Now()
-	// Warm the shared sweeps up front with progress reporting; the table
-	// and figure renderers below then hit the memo.
-	if want("table3") || want("fig3") || want("fig4") || want("fig5") || want("fig7") {
-		if _, err := experiment.SingleAppSweepOpts(ctx, cfg, opts("single-app grid")); err != nil {
-			fatal(err)
+	for _, e := range experiment.Experiments() {
+		if len(sel) > 0 && !sel[e.Name] {
+			continue
 		}
-	}
-	if want("table5") || want("fig6") || want("table6") || want("fig8") {
-		if _, err := experiment.MultiAppSweepOpts(ctx, cfg, opts("multi-app grid")); err != nil {
-			fatal(err)
-		}
-	}
-
-	if want("table1") {
-		emit("table1", table1(), *csvDir)
-	}
-	if want("table2") {
-		_, t, err := experiment.Table2(cfg)
+		outs, err := e.Run(ctx, cfg, experiment.RunOpts{Parallel: *parallel, Progress: progressPrinter(e.Name)})
 		if err != nil {
 			fatal(err)
 		}
-		emit("table2", t, *csvDir)
-	}
-	if want("fig1") {
-		runFig1(ctx, cfg, opts("fig1"), *csvDir)
-	}
-	if want("table3") {
-		t, err := experiment.Table3(cfg)
-		if err != nil {
-			fatal(err)
+		for _, o := range outs {
+			if o.Table != nil {
+				fmt.Println(o.Table.String())
+			}
+			if *csvDir != "" {
+				if err := os.WriteFile(filepath.Join(*csvDir, o.File+".csv"), []byte(o.CSV), 0o644); err != nil {
+					fatal(err)
+				}
+			}
 		}
-		emit("table3", t, *csvDir)
-	}
-	if want("fig3") {
-		ts, err := experiment.Fig3(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		for i, t := range ts {
-			emit(fmt.Sprintf("fig3_%d", i), t, *csvDir)
-		}
-	}
-	if want("fig4") {
-		t, err := experiment.Fig4(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig4", t, *csvDir)
-	}
-	if want("fig5") {
-		_, t, err := experiment.Fig5(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("fig5", t, *csvDir)
-	}
-	if want("table4") {
-		emit("table4", experiment.Table4(), *csvDir)
-	}
-	if want("table5") {
-		t, err := experiment.Table5(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table5", t, *csvDir)
-	}
-	if want("fig6") {
-		ts, err := experiment.Fig6(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		for i, t := range ts {
-			emit(fmt.Sprintf("fig6_%d", i), t, *csvDir)
-		}
-	}
-	if want("table6") {
-		t, err := experiment.Table6(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("table6", t, *csvDir)
-	}
-	if want("fig7") {
-		ts, err := experiment.Fig7(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		for i, t := range ts {
-			emit(fmt.Sprintf("fig7_%d", i), t, *csvDir)
-		}
-	}
-	if want("sensitivity") {
-		_, t, err := experiment.SensitivityOpts(ctx, cfg, opts("sensitivity"))
-		if err != nil {
-			fatal(err)
-		}
-		emit("sensitivity", t, *csvDir)
-	}
-	if want("eas") {
-		t, err := experiment.ExtensionEASOpts(ctx, cfg, opts("eas"))
-		if err != nil {
-			fatal(err)
-		}
-		emit("extension_eas", t, *csvDir)
-	}
-	if want("fig8") {
-		ts, err := experiment.Fig8(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		for i, t := range ts {
-			emit(fmt.Sprintf("fig8_%d", i), t, *csvDir)
-		}
-	}
-	if want("chaos") {
-		if _, err := experiment.ChaosOpts(ctx, cfg, opts("chaos grid")); err != nil {
-			fatal(err)
-		}
-		ts, err := experiment.TableChaos(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		for i, t := range ts {
-			emit([]string{"chaos_breach", "chaos_perf", "chaos_watchdog"}[i], t, *csvDir)
-		}
-	}
-	if want("cluster") {
-		if _, err := experiment.ClusterOpts(ctx, cfg, opts("cluster grid")); err != nil {
-			fatal(err)
-		}
-		t, err := experiment.TableCluster(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("cluster", t, *csvDir)
-	}
-	if want("chaoscluster") {
-		if _, err := experiment.ChaosClusterOpts(ctx, cfg, opts("chaoscluster grid")); err != nil {
-			fatal(err)
-		}
-		t, err := experiment.TableChaosCluster(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("chaoscluster", t, *csvDir)
-	}
-	if want("thermal") {
-		if _, err := experiment.ThermalOpts(ctx, cfg, opts("thermal grid")); err != nil {
-			fatal(err)
-		}
-		t, err := experiment.TableThermal(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("thermal", t, *csvDir)
-	}
-	if want("hierarchy") {
-		if _, err := experiment.HierarchyOpts(ctx, cfg, opts("hierarchy grid")); err != nil {
-			fatal(err)
-		}
-		t, err := experiment.TableHierarchy(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		emit("hierarchy", t, *csvDir)
 	}
 	fmt.Fprintf(os.Stderr, "reproduction completed in %v (parallel=%d)\n",
 		time.Since(start).Round(time.Millisecond), sweep.Workers(*parallel))
 }
 
+// names lists every -only selector, in print order.
+func names() []string {
+	var out []string
+	for _, e := range experiment.Experiments() {
+		out = append(out, e.Name)
+	}
+	return out
+}
+
 // parseOnly validates the -only list against the known experiment names,
 // returning an error naming the valid selectors on a typo.
 func parseOnly(only string) (map[string]bool, error) {
-	known := map[string]bool{}
-	for _, name := range experimentNames {
-		known[name] = true
-	}
+	known := names()
 	sel := map[string]bool{}
 	for _, name := range strings.Split(only, ",") {
 		name = strings.ToLower(strings.TrimSpace(name))
 		if name == "" {
 			continue
 		}
-		if !known[name] {
-			sorted := append([]string(nil), experimentNames...)
-			sort.Strings(sorted)
+		if !slices.Contains(known, name) {
+			slices.Sort(known)
 			return nil, fmt.Errorf("unknown -only experiment %q (valid: %s)",
-				name, strings.Join(sorted, ","))
+				name, strings.Join(known, ","))
 		}
 		sel[name] = true
 	}
 	return sel, nil
 }
 
-// progressPrinter returns a live stderr progress line for one grid:
-// "single-app grid 312/500 cells, 41s elapsed". The sweep engine serializes
-// calls, so the closure needs no locking.
-func progressPrinter(grid string) sweep.Progress {
+// progressPrinter returns a live stderr progress line for one experiment:
+// "table3 312/500 cells, 41s elapsed". The sweep engine serializes calls,
+// so the closure needs no locking.
+func progressPrinter(name string) sweep.Progress {
 	start := time.Now()
 	var last time.Time
 	return func(done, total int, label string) {
@@ -277,62 +121,10 @@ func progressPrinter(grid string) sweep.Progress {
 		}
 		last = time.Now()
 		fmt.Fprintf(os.Stderr, "\r%s %d/%d cells, %s elapsed",
-			grid, done, total, time.Since(start).Round(time.Second))
+			name, done, total, time.Since(start).Round(time.Second))
 		if done == total {
 			fmt.Fprintln(os.Stderr)
 		}
-	}
-}
-
-// table1 renders the platform description (the paper's Table 1).
-func table1() *report.Table {
-	p := machine.E52690Server()
-	t := report.NewTable("Table 1: Server resources",
-		"Processor", "Cores", "Sockets", "Speeds (GHz)", "TurboBoost", "HyperThreads",
-		"Memory Controllers", "Socket TDP (W)", "Configurations")
-	t.AddRow(p.Name,
-		fmt.Sprintf("%d", p.CoresPerSocket),
-		fmt.Sprintf("%d", p.Sockets),
-		fmt.Sprintf("%.1f-%.1f", p.MinGHz(), p.BaseGHz()),
-		"yes", "yes",
-		fmt.Sprintf("%d", p.MemCtls),
-		fmt.Sprintf("%.0f", p.SocketTDP),
-		fmt.Sprintf("%d", p.NumConfigurations()))
-	return t
-}
-
-func runFig1(ctx context.Context, cfg experiment.Config, opts experiment.RunOpts, csvDir string) {
-	res, err := experiment.Fig1Opts(ctx, cfg, opts)
-	if err != nil {
-		fatal(err)
-	}
-	t := report.NewTable("Fig 1: x264 under a 140W cap (motivational example)",
-		"Technique", "Settling", "Converged perf (units/s)")
-	for _, tech := range []string{experiment.TechRAPL, experiment.TechSoftDecision, experiment.TechPUPiL} {
-		t.AddRow(tech, res.Settling[tech].Round(10*time.Millisecond).String(),
-			report.F(res.SteadyPerf[tech], 2))
-	}
-	emit("fig1", t, csvDir)
-	if csvDir != "" {
-		for tech, s := range res.Power {
-			write(csvDir, "fig1_power_"+tech+".csv", s.CSV())
-		}
-		for tech, s := range res.Perf {
-			write(csvDir, "fig1_perf_"+tech+".csv", s.CSV())
-		}
-	}
-}
-
-func emit(name string, t *report.Table, csvDir string) {
-	fmt.Println(t.String())
-	if csvDir != "" {
-		write(csvDir, name+".csv", t.CSV())
-	}
-}
-
-func write(dir, name, content string) {
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-		fatal(err)
 	}
 }
 

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"pupil/internal/experiment"
 )
 
 func TestParseOnlyAcceptsKnownNames(t *testing.T) {
@@ -37,5 +40,38 @@ func TestParseOnlyRejectsTypos(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "table4") {
 		t.Errorf("error %q does not list valid names", err)
+	}
+}
+
+// TestExperimentNamesUnique: a repeated name would make one -only selector
+// run two experiments.
+func TestExperimentNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range names() {
+		if seen[name] {
+			t.Errorf("experiment %q registered twice", name)
+		}
+		seen[name] = true
+	}
+}
+
+// TestExperimentFilesUnique: two outputs sharing a File would silently
+// overwrite one CSV artifact with another.
+func TestExperimentFilesUnique(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment's quick grid")
+	}
+	writer := map[string]string{}
+	for _, e := range experiment.Experiments() {
+		outs, err := e.Run(context.Background(), experiment.Config{Seed: 42, Quick: true}, experiment.RunOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, o := range outs {
+			if prev, ok := writer[o.File]; ok {
+				t.Errorf("%s and %s both write %s.csv", prev, e.Name, o.File)
+			}
+			writer[o.File] = e.Name
+		}
 	}
 }

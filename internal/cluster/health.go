@@ -247,9 +247,6 @@ func (c *Coordinator) updateHealth() {
 	}
 }
 
-// HealthEnabled reports whether the coordinator tracks node health.
-func (c *Coordinator) HealthEnabled() bool { return c.hcfg != nil }
-
 // NodeHealth returns node i's current health state (Healthy when tracking
 // is disabled or i is out of range).
 func (c *Coordinator) NodeHealth(i int) HealthState {

@@ -270,19 +270,3 @@ func TestWeightedSpeedupObjective(t *testing.T) {
 		t.Errorf("weighted objective = %g, want 1.5", got)
 	}
 }
-
-func TestAloneRates(t *testing.T) {
-	p := machine.E52690Server()
-	profs := []workload.Profile{}
-	for _, n := range []string{"swaptions", "dijkstra"} {
-		prof, _ := workload.ByName(n)
-		profs = append(profs, prof)
-	}
-	rates, err := AloneRates(p, profs, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rates[0] <= rates[1] {
-		t.Errorf("swaptions alone rate %.2f should exceed dijkstra's %.2f", rates[0], rates[1])
-	}
-}

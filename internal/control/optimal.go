@@ -59,23 +59,3 @@ func OptimalSearch(p *machine.Platform, apps []*workload.Instance, capWatts floa
 	})
 	return best, bestEval, ok
 }
-
-// AloneRates returns each profile's best isolated performance on the
-// uncapped machine — the normalization weights for weighted speedup. Each
-// app is given the full machine and the oracle picks its best
-// configuration, matching "the performance it would achieve in isolation".
-func AloneRates(p *machine.Platform, profiles []workload.Profile, threads int) ([]float64, error) {
-	out := make([]float64, len(profiles))
-	for i, prof := range profiles {
-		apps, err := workload.NewInstances([]workload.Spec{{Profile: prof, Threads: threads}})
-		if err != nil {
-			return nil, err
-		}
-		_, ev, ok := OptimalSearch(p, apps, 1e9, TotalRate)
-		if !ok {
-			continue
-		}
-		out[i] = ev.TotalRate()
-	}
-	return out, nil
-}

@@ -270,7 +270,7 @@ func TestProbeViolationTimeline(t *testing.T) {
 	}
 	for s := 0; s < 26; s++ {
 		from := time.Duration(s) * time.Second
-		t.Logf("t=%2ds mean=%.1f max=%.1f", s, res.TruePower.MeanBetween(from, from+time.Second), res.TruePower.MaxBetween(from, from+time.Second))
+		t.Logf("t=%2ds mean=%.1f", s, res.TruePower.MeanBetween(from, from+time.Second))
 	}
 }
 
@@ -292,6 +292,6 @@ func TestProbeMobile(t *testing.T) {
 	t.Logf("settled=%v steady=%.3f cfg=%v viol=%.2f", res.Settled, res.SteadyPower, res.FinalConfig, res.ViolationFrac)
 	for s := 50; s < 60; s += 2 {
 		from := time.Duration(s) * time.Second
-		t.Logf("t=%2ds mean=%.3f max=%.3f", s, res.TruePower.MeanBetween(from, from+2*time.Second), res.TruePower.MaxBetween(from, from+2*time.Second))
+		t.Logf("t=%2ds mean=%.3f", s, res.TruePower.MeanBetween(from, from+2*time.Second))
 	}
 }

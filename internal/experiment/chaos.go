@@ -150,41 +150,14 @@ type ChaosData struct {
 	Records  map[string]map[string]ChaosRecord
 }
 
-// chaosMemo shares the grid across tables, guarded by the package memoMu.
-var chaosMemo = map[Config]*ChaosData{}
-
-// Chaos runs (or returns the memoized) chaos grid with default execution
-// options. The returned data is shared and must be treated as read-only.
-func Chaos(cfg Config) (*ChaosData, error) {
-	return ChaosOpts(context.Background(), cfg, RunOpts{})
+// runChaosGrid runs the full chaos grid: every variant under every fault
+// profile.
+func runChaosGrid(ctx context.Context, cfg Config, opts RunOpts) (*ChaosData, error) {
+	return runChaos(ctx, cfg, opts, chaosVariants(), chaosProfiles(cfg))
 }
 
-// ChaosOpts runs (or returns the memoized) chaos grid on a bounded worker
-// pool. Results are identical for a given Config at any parallelism.
-func ChaosOpts(ctx context.Context, cfg Config, opts RunOpts) (*ChaosData, error) {
-	memoMu.Lock()
-	if d, ok := chaosMemo[cfg]; ok {
-		memoMu.Unlock()
-		return d, nil
-	}
-	memoMu.Unlock()
-
-	d, err := runChaos(ctx, cfg, opts, chaosVariants(), chaosProfiles(cfg))
-	if err != nil {
-		return nil, err
-	}
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if prev, ok := chaosMemo[cfg]; ok {
-		return prev, nil
-	}
-	chaosMemo[cfg] = d
-	return d, nil
-}
-
-// runChaos always executes the grid (no memo), over an explicit
-// variant/profile selection so tests can run cut-down grids.
+// runChaos executes the grid over an explicit variant/profile selection so
+// tests can run cut-down grids.
 func runChaos(ctx context.Context, cfg Config, opts RunOpts, variants []chaosVariant, profiles []chaosProfile) (*ChaosData, error) {
 	h, err := newHarness(cfg)
 	if err != nil {
@@ -261,18 +234,8 @@ func (h *harness) runChaosCell(ctx context.Context, cfg Config, v chaosVariant, 
 	}, nil
 }
 
-// TableChaos renders the three chaos tables: cap-violation time, steady
-// performance, and the watchdog's view, each profile x variant.
-func TableChaos(cfg Config) ([]*report.Table, error) {
-	d, err := Chaos(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tablesChaosFrom(d), nil
-}
-
-// tablesChaosFrom renders the tables from grid data (split out so
-// determinism tests can render independently-run grids without the memo).
+// tablesChaosFrom renders the three chaos tables: cap-violation time,
+// steady performance, and the watchdog's view, each profile x variant.
 func tablesChaosFrom(d *ChaosData) []*report.Table {
 	breach := report.NewTable(
 		"Chaos: cap-violation time (s) under injected faults, 140W cap, STREAM->blackscholes shift",

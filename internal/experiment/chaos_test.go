@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"reflect"
 	"testing"
 )
 
@@ -25,7 +24,7 @@ func chaosRec(t *testing.T, d *ChaosData, variant, profile string) ChaosRecord {
 // cap-violation time stays within 2x of pure hardware, while both
 // software-only techniques visibly breach.
 func TestChaosHybridSurvivesStall(t *testing.T) {
-	d, err := Chaos(quickCfg())
+	d, err := chaosGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestChaosHybridSurvivesStall(t *testing.T) {
 // is wrong — no transitions, normal final level, and the same steady
 // performance as the unsupervised hybrid.
 func TestChaosWatchdogQuietWhenHealthy(t *testing.T) {
-	d, err := Chaos(quickCfg())
+	d, err := chaosGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestChaosWatchdogQuietWhenHealthy(t *testing.T) {
 // and backs its caps off, so the supervised hybrid's exposure is strictly
 // below the unsupervised hybrid's.
 func TestChaosWatchdogLimitsMisprogramming(t *testing.T) {
-	d, err := Chaos(quickCfg())
+	d, err := chaosGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,41 +124,14 @@ func TestChaosMiniGridExplicitSelection(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicAcrossParallelism: the chaos grid must be
-// byte-identical whether cells run one at a time or eight at a time.
-func TestChaosDeterministicAcrossParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full quick chaos grids")
-	}
-	ctx := context.Background()
-	cfg := quickCfg()
-	seq, err := runChaos(ctx, cfg, RunOpts{Parallel: 1}, chaosVariants(), chaosProfiles(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runChaos(ctx, cfg, RunOpts{Parallel: 8}, chaosVariants(), chaosProfiles(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("ChaosData differs between parallel=1 and parallel=8")
-	}
-	for i := range tablesChaosFrom(seq) {
-		a := tablesChaosFrom(seq)[i].String()
-		b := tablesChaosFrom(par)[i].String()
-		if a != b {
-			t.Errorf("rendered chaos table %d differs between parallel=1 and parallel=8:\n--- parallel=1\n%s\n--- parallel=8\n%s", i, a, b)
-		}
-	}
-}
-
 // TestChaosMemoized documents the memo contract for the chaos grid.
 func TestChaosMemoized(t *testing.T) {
-	a, err := Chaos(quickCfg())
+	ctx := context.Background()
+	a, err := chaosGrid.get(ctx, quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Chaos(quickCfg())
+	b, err := chaosGrid.get(ctx, quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

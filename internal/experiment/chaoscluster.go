@@ -135,41 +135,7 @@ type ChaosClusterData struct {
 	Records     map[string]map[string]map[string]ChaosClusterRecord
 }
 
-// chaosClusterMemo shares the grid across tables, guarded by memoMu.
-var chaosClusterMemo = map[Config]*ChaosClusterData{}
-
-// ChaosCluster runs (or returns the memoized) fleet chaos grid with
-// default execution options. The returned data is shared read-only.
-func ChaosCluster(cfg Config) (*ChaosClusterData, error) {
-	return ChaosClusterOpts(context.Background(), cfg, RunOpts{})
-}
-
-// ChaosClusterOpts runs (or returns the memoized) fleet chaos grid on a
-// bounded worker pool. Results are identical for a given Config at any
-// parallelism.
-func ChaosClusterOpts(ctx context.Context, cfg Config, opts RunOpts) (*ChaosClusterData, error) {
-	memoMu.Lock()
-	if d, ok := chaosClusterMemo[cfg]; ok {
-		memoMu.Unlock()
-		return d, nil
-	}
-	memoMu.Unlock()
-
-	d, err := runChaosClusterGrid(ctx, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if prev, ok := chaosClusterMemo[cfg]; ok {
-		return prev, nil
-	}
-	chaosClusterMemo[cfg] = d
-	return d, nil
-}
-
-// runChaosClusterGrid always executes the grid (no memo).
+// runChaosClusterGrid executes the policy x profile x health-mode grid.
 func runChaosClusterGrid(ctx context.Context, cfg Config, opts RunOpts) (*ChaosClusterData, error) {
 	d := &ChaosClusterData{
 		Cfg:         cfg,
@@ -311,19 +277,9 @@ func runChaosClusterCell(ctx context.Context, cfg Config, policyName string, pro
 	return rec, nil
 }
 
-// TableChaosCluster renders the fleet chaos comparison: throughput,
+// tableChaosClusterFrom renders the fleet chaos comparison: throughput,
 // stranded and reclaimed watts, and quarantine activity, policy x profile
 // x health mode.
-func TableChaosCluster(cfg Config) (*report.Table, error) {
-	d, err := ChaosCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tableChaosClusterFrom(d), nil
-}
-
-// tableChaosClusterFrom renders the table from grid data (split out so
-// tests can render independently-run grids without the memo).
 func tableChaosClusterFrom(d *ChaosClusterData) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("ChaosCluster: naive vs quarantining coordinator under fleet faults (%d nodes, %.0f W/node)",

@@ -22,7 +22,7 @@ func ccRec(t *testing.T, d *ChaosClusterData, policy, profile, health string) Ch
 // stranded watts, positive reclaim) and converts the recovered budget into
 // strictly more cluster throughput than the naive baseline.
 func TestChaosClusterQuarantineRecoversStranded(t *testing.T) {
-	d, err := ChaosCluster(quickCfg())
+	d, err := chaosClusterGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestChaosClusterQuarantineRecoversStranded(t *testing.T) {
 // TestChaosClusterRackOutBenchesTheRack: a whole rack crashing benches all
 // its members; the grid's largest reclaim flows to the surviving racks.
 func TestChaosClusterRackOutBenchesTheRack(t *testing.T) {
-	d, err := ChaosCluster(quickCfg())
+	d, err := chaosClusterGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestChaosClusterRackOutBenchesTheRack(t *testing.T) {
 // is bit-identical to the naive one — enabling health tracking must not
 // perturb a healthy fleet in any observable way.
 func TestChaosClusterHealthNoopOnCleanRun(t *testing.T) {
-	d, err := ChaosCluster(quickCfg())
+	d, err := chaosClusterGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestChaosClusterHealthNoopOnCleanRun(t *testing.T) {
 // reproduces the grid's record exactly — the same contract every other
 // sweep in the package holds.
 func TestChaosClusterCellDeterminism(t *testing.T) {
-	d, err := ChaosCluster(quickCfg())
+	d, err := chaosClusterGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

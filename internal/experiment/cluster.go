@@ -85,42 +85,7 @@ type ClusterData struct {
 	Records    map[string]map[int]ClusterRecord
 }
 
-// clusterMemo shares the grid across tables, guarded by the package memoMu.
-var clusterMemo = map[Config]*ClusterData{}
-
-// Cluster runs (or returns the memoized) cluster-policy grid with default
-// execution options. The returned data is shared and must be treated as
-// read-only.
-func Cluster(cfg Config) (*ClusterData, error) {
-	return ClusterOpts(context.Background(), cfg, RunOpts{})
-}
-
-// ClusterOpts runs (or returns the memoized) cluster-policy grid on a
-// bounded worker pool. Results are identical for a given Config at any
-// parallelism.
-func ClusterOpts(ctx context.Context, cfg Config, opts RunOpts) (*ClusterData, error) {
-	memoMu.Lock()
-	if d, ok := clusterMemo[cfg]; ok {
-		memoMu.Unlock()
-		return d, nil
-	}
-	memoMu.Unlock()
-
-	d, err := runClusterGrid(ctx, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if prev, ok := clusterMemo[cfg]; ok {
-		return prev, nil
-	}
-	clusterMemo[cfg] = d
-	return d, nil
-}
-
-// runClusterGrid always executes the grid (no memo).
+// runClusterGrid executes the policy x node-count grid.
 func runClusterGrid(ctx context.Context, cfg Config, opts RunOpts) (*ClusterData, error) {
 	d := &ClusterData{
 		Cfg:        cfg,
@@ -224,18 +189,8 @@ func runClusterCell(ctx context.Context, cfg Config, policyName string, n int) (
 	return rec, nil
 }
 
-// TableCluster renders the cluster-policy comparison: per-phase cluster
+// tableClusterFrom renders the cluster-policy comparison: per-phase cluster
 // throughput and the fairness floor, policy x node count.
-func TableCluster(cfg Config) (*report.Table, error) {
-	d, err := Cluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tableClusterFrom(d), nil
-}
-
-// tableClusterFrom renders the table from grid data (split out so tests can
-// render independently-run grids without the memo).
 func tableClusterFrom(d *ClusterData) *report.Table {
 	budgets := clusterPhaseBudgets()
 	t := report.NewTable(

@@ -14,7 +14,7 @@ func TestClusterGridSemantics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick cluster grid")
 	}
-	d, err := ClusterOpts(context.Background(), quickCfg(), RunOpts{})
+	d, err := clusterGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (Section 5) on the simulated platform: per-experiment drivers
-// return typed rows/series plus rendered report tables. Sweeps shared by
-// several figures (the single-application grid behind Table 3 and Figures
-// 3, 4, 5 and 7; the multi-application grid behind Tables 5-6 and Figures 6
-// and 8) run once and are memoized per configuration.
+// evaluation (Section 5) on the simulated platform, plus the extension
+// grids: per-experiment drivers return typed rows/series plus rendered
+// report tables, and Experiments lists them all in print order. Grids
+// shared by several outputs (the single-application grid behind Table 3
+// and Figures 3, 4, 5 and 7; the multi-application grid behind Tables 5-6
+// and Figures 6 and 8) and the extension grids run once per Config behind
+// one memo.
 package experiment
 
 import (
@@ -243,9 +245,62 @@ func (h *harness) instances(app string, threads int) ([]workload.Spec, []*worklo
 // seedFor derives a stable per-run seed salt from cell labels.
 func seedFor(labels ...string) uint64 { return sweep.Seed(labels...) }
 
-// memoization of shared sweeps.
+// memo shares one grid per Config across every caller. get checks the map
+// under the lock and runs a miss outside it, so distinct configs overlap;
+// when two callers race on one Config, the first stored instance wins and
+// both return it. Errors are never stored: a cancelled run is retried by
+// the next caller. Stored grids are shared and must be treated as
+// read-only.
+type memo[D any] struct {
+	run  func(ctx context.Context, cfg Config, opts RunOpts) (*D, error)
+	mu   sync.Mutex
+	done map[Config]*D
+}
+
+func newMemo[D any](run func(context.Context, Config, RunOpts) (*D, error)) *memo[D] {
+	return &memo[D]{run: run, done: map[Config]*D{}}
+}
+
+// get returns the memoized grid for cfg, running it on opts' pool on a
+// miss.
+func (m *memo[D]) get(ctx context.Context, cfg Config, opts RunOpts) (*D, error) {
+	m.mu.Lock()
+	d, ok := m.done[cfg]
+	m.mu.Unlock()
+	if ok {
+		return d, nil
+	}
+	d, err := m.run(ctx, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, ok := m.done[cfg]; ok {
+		return prev, nil
+	}
+	m.done[cfg] = d
+	return d, nil
+}
+
+// The memoized grids.
 var (
-	memoMu     sync.Mutex
-	singleMemo = map[Config]*SingleAppData{}
-	multiMemo  = map[Config]*MultiAppData{}
+	singleGrid       = newMemo(runSingleAppSweep)
+	multiGrid        = newMemo(runMultiAppSweep)
+	chaosGrid        = newMemo(runChaosGrid)
+	clusterGrid      = newMemo(runClusterGrid)
+	hierarchyGrid    = newMemo(runHierarchyGrid)
+	chaosClusterGrid = newMemo(runChaosClusterGrid)
+	thermalGrid      = newMemo(runThermalGrid)
 )
+
+// rendered fetches a memoized grid with default execution options and
+// renders it.
+func rendered[D, T any](m *memo[D], cfg Config, render func(*D) T) (T, error) {
+	d, err := m.get(context.Background(), cfg, RunOpts{})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return render(d), nil
+}

@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -37,6 +41,69 @@ func TestSingleAppSweepMemoized(t *testing.T) {
 	}
 	if a != b {
 		t.Error("same-config sweeps were not memoized")
+	}
+}
+
+// TestMemo pins the memo's contract on a counting fake: an error is not
+// stored, concurrent gets of one Config that both miss return the first
+// stored instance, a hit never re-runs the grid, and distinct Configs get
+// distinct instances.
+func TestMemo(t *testing.T) {
+	ctx := context.Background()
+	var runs atomic.Int32
+	var hook func() error
+	m := newMemo(func(_ context.Context, cfg Config, _ RunOpts) (*uint64, error) {
+		runs.Add(1)
+		if err := hook(); err != nil {
+			return nil, err
+		}
+		seed := cfg.Seed
+		return &seed, nil
+	})
+	a, b := Config{Seed: 1}, Config{Seed: 2}
+
+	hook = func() error { return errors.New("cancelled") }
+	if _, err := m.get(ctx, a, RunOpts{}); err == nil {
+		t.Fatal("failing run returned no error")
+	}
+
+	// Two gets that both miss: each run waits for the other to start, so
+	// both run the grid and one result must be discarded.
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	hook = func() error { barrier.Done(); barrier.Wait(); return nil }
+	got := make([]*uint64, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = m.get(ctx, a, RunOpts{})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("get after a failed run: %v (error was memoized?)", err)
+		}
+	}
+	if got[0] != got[1] {
+		t.Error("concurrent gets of one Config returned distinct instances")
+	}
+	if n := runs.Load(); n != 3 {
+		t.Errorf("%d runs after one failure and two concurrent misses, want 3", n)
+	}
+
+	hook = func() error { return nil }
+	if d, _ := m.get(ctx, a, RunOpts{}); d != got[0] {
+		t.Error("a hit returned a different instance")
+	}
+	if n := runs.Load(); n != 3 {
+		t.Errorf("a hit re-ran the grid (%d runs)", n)
+	}
+	if d, _ := m.get(ctx, b, RunOpts{}); d == got[0] || *d != b.Seed {
+		t.Errorf("distinct Config got instance %p (%d), want a new one for seed %d", d, *d, b.Seed)
 	}
 }
 

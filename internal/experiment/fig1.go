@@ -7,6 +7,7 @@ import (
 
 	"pupil/internal/driver"
 	"pupil/internal/machine"
+	"pupil/internal/report"
 	"pupil/internal/sim"
 	"pupil/internal/sweep"
 	"pupil/internal/workload"
@@ -25,6 +26,9 @@ type Fig1Result struct {
 	// SteadyPerf indexes technique -> converged performance.
 	SteadyPerf map[string]float64
 }
+
+// fig1Techs are the trajectories Fig. 1 compares.
+func fig1Techs() []string { return []string{TechRAPL, TechSoftDecision, TechPUPiL} }
 
 // Fig1 reruns the motivational example with default execution options.
 func Fig1(cfg Config) (*Fig1Result, error) {
@@ -54,7 +58,7 @@ func Fig1Opts(ctx context.Context, cfg Config, opts RunOpts) (*Fig1Result, error
 		Settling:   map[string]time.Duration{},
 		SteadyPerf: map[string]float64{},
 	}
-	techs := []string{TechRAPL, TechSoftDecision, TechPUPiL}
+	techs := fig1Techs()
 	cells := make([]sweep.Cell[driver.Result], len(techs))
 	for i, tech := range techs {
 		tech := tech
@@ -88,4 +92,23 @@ func Fig1Opts(ctx context.Context, cfg Config, opts RunOpts) (*Fig1Result, error
 		out.SteadyPerf[tech] = res.SteadyTotal()
 	}
 	return out, nil
+}
+
+// fig1Outputs renders the summary table (settling and converged
+// performance per technique) and, as CSV-only outputs, every power and
+// performance trace.
+func fig1Outputs(res *Fig1Result) []Output {
+	t := report.NewTable("Fig 1: x264 under a 140W cap (motivational example)",
+		"Technique", "Settling", "Converged perf (units/s)")
+	for _, tech := range fig1Techs() {
+		t.AddRow(tech, res.Settling[tech].Round(10*time.Millisecond).String(),
+			report.F(res.SteadyPerf[tech], 2))
+	}
+	outs := []Output{tableOutput("fig1", t)}
+	for _, tech := range fig1Techs() {
+		outs = append(outs,
+			Output{File: "fig1_power_" + tech, CSV: res.Power[tech].CSV()},
+			Output{File: "fig1_perf_" + tech, CSV: res.Perf[tech].CSV()})
+	}
+	return outs
 }

@@ -51,18 +51,48 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenTable3 pins the quick-config Table 3 byte for byte. The sweep
-// behind it is memoized, so alongside the rest of the package's tests this
-// costs only the render.
+// checkExperimentGolden renders the named registry entry at the quick
+// config and pins each of its tables byte for byte against
+// testdata/golden/<File>_quick.csv. Grids are memoized, so alongside the
+// rest of the package's tests this costs only the render.
+func checkExperimentGolden(t *testing.T, name string) {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.Name != name {
+			continue
+		}
+		outs, err := e.Run(context.Background(), quickCfg(), RunOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, o := range outs {
+			if o.Table != nil {
+				checkGolden(t, o.File+"_quick.csv", goldenCSV(o.Table))
+			}
+		}
+		return
+	}
+	t.Fatalf("no experiment named %q", name)
+}
+
+// TestExperimentsGolden pins every table of every registered experiment,
+// so a new entry is gated as soon as it is listed. The tests after it pin
+// single entries by name.
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick grid")
+	}
+	for _, e := range Experiments() {
+		checkExperimentGolden(t, e.Name)
+	}
+}
+
+// TestGoldenTable3 pins the quick-config Table 3 byte for byte.
 func TestGoldenTable3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick single-app sweep")
 	}
-	d, err := SingleAppSweepOpts(context.Background(), quickCfg(), RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "table3_quick.csv", goldenCSV(table3From(d)))
+	checkExperimentGolden(t, "table3")
 }
 
 // TestGoldenChaosTables pins the three chaos tables (cap-violation time,
@@ -71,34 +101,18 @@ func TestGoldenChaosTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick chaos grid")
 	}
-	d, err := ChaosOpts(context.Background(), quickCfg(), RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := tablesChaosFrom(d)
-	names := []string{"chaos_breach_quick.csv", "chaos_perf_quick.csv", "chaos_watchdog_quick.csv"}
-	if len(tables) != len(names) {
-		t.Fatalf("chaos renders %d tables, golden set expects %d", len(tables), len(names))
-	}
-	for i, tbl := range tables {
-		checkGolden(t, names[i], goldenCSV(tbl))
-	}
+	checkExperimentGolden(t, "chaos")
 }
 
 // TestGoldenThermalTable pins the quick-config thermal comparison — 2
 // techniques x 3 cooling environments, duty-cycle throttle vs headroom
-// governor — byte for byte. The table is the PR's acceptance evidence:
-// governor columns beat throttle columns wherever the junction binds,
-// without exceeding TjMax.
+// governor — byte for byte: governor columns beat throttle columns
+// wherever the junction binds, without exceeding TjMax.
 func TestGoldenThermalTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick thermal grid")
 	}
-	d, err := ThermalOpts(context.Background(), quickCfg(), RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "thermal_quick.csv", goldenCSV(tableThermalFrom(d)))
+	checkExperimentGolden(t, "thermal")
 }
 
 // TestGoldenHierarchyTable pins the quick-config flat-vs-tree comparison —
@@ -108,26 +122,18 @@ func TestGoldenHierarchyTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick hierarchy grid")
 	}
-	d, err := HierarchyOpts(context.Background(), quickCfg(), RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "hierarchy_quick.csv", goldenCSV(tableHierarchyFrom(d)))
+	checkExperimentGolden(t, "hierarchy")
 }
 
 // TestGoldenChaosClusterTable pins the quick-config fleet chaos grid — 2
 // adaptive policies x 6 fault profiles x naive/quarantine coordinators at
-// 8 nodes — byte for byte. The table is the PR's acceptance evidence: the
-// quarantine rows recover the budget the naive rows leave stranded.
+// 8 nodes — byte for byte: the quarantine rows recover the budget the
+// naive rows leave stranded.
 func TestGoldenChaosClusterTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick fleet chaos grid")
 	}
-	d, err := ChaosClusterOpts(context.Background(), quickCfg(), RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "chaoscluster_quick.csv", goldenCSV(tableChaosClusterFrom(d)))
+	checkExperimentGolden(t, "chaoscluster")
 }
 
 // TestGoldenClusterTable pins the quick-config cluster-policy comparison —
@@ -137,9 +143,5 @@ func TestGoldenClusterTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick cluster grid")
 	}
-	d, err := ClusterOpts(context.Background(), quickCfg(), RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "cluster_quick.csv", goldenCSV(tableClusterFrom(d)))
+	checkExperimentGolden(t, "cluster")
 }

@@ -86,42 +86,7 @@ type HierarchyData struct {
 	Records      map[string]map[string]HierarchyRecord
 }
 
-// hierarchyMemo shares the grid across renders, guarded by memoMu.
-var hierarchyMemo = map[Config]*HierarchyData{}
-
-// Hierarchy runs (or returns the memoized) flat-vs-tree grid with default
-// execution options. The returned data is shared and must be treated as
-// read-only.
-func Hierarchy(cfg Config) (*HierarchyData, error) {
-	return HierarchyOpts(context.Background(), cfg, RunOpts{})
-}
-
-// HierarchyOpts runs (or returns the memoized) flat-vs-tree grid on a
-// bounded worker pool. Results are identical for a given Config at any
-// parallelism.
-func HierarchyOpts(ctx context.Context, cfg Config, opts RunOpts) (*HierarchyData, error) {
-	memoMu.Lock()
-	if d, ok := hierarchyMemo[cfg]; ok {
-		memoMu.Unlock()
-		return d, nil
-	}
-	memoMu.Unlock()
-
-	d, err := runHierarchyGrid(ctx, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if prev, ok := hierarchyMemo[cfg]; ok {
-		return prev, nil
-	}
-	hierarchyMemo[cfg] = d
-	return d, nil
-}
-
-// runHierarchyGrid always executes the grid (no memo).
+// runHierarchyGrid executes the policy x arrangement grid.
 func runHierarchyGrid(ctx context.Context, cfg Config, opts RunOpts) (*HierarchyData, error) {
 	arrs := hierarchyArrangements()
 	d := &HierarchyData{
@@ -231,19 +196,9 @@ func runHierarchyCell(ctx context.Context, cfg Config, policyName string, arr hi
 	return rec, nil
 }
 
-// TableHierarchy renders the flat-vs-tree comparison: per-phase cluster
+// tableHierarchyFrom renders the flat-vs-tree comparison: per-phase cluster
 // throughput and the global fairness floor, policy x arrangement at equal
 // total budget.
-func TableHierarchy(cfg Config) (*report.Table, error) {
-	d, err := Hierarchy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tableHierarchyFrom(d), nil
-}
-
-// tableHierarchyFrom renders the table from grid data (split out so tests
-// can render independently-run grids without the memo).
 func tableHierarchyFrom(d *HierarchyData) *report.Table {
 	budgets := clusterPhaseBudgets()
 	t := report.NewTable(

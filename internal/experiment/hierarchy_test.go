@@ -15,7 +15,7 @@ func TestHierarchyGridSemantics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick hierarchy grid")
 	}
-	d, err := HierarchyOpts(context.Background(), quickCfg(), RunOpts{})
+	d, err := hierarchyGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

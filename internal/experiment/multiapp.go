@@ -42,39 +42,6 @@ type MultiAppData struct {
 	Alone map[string]map[string]float64
 }
 
-// Clone returns a deep copy that the caller owns and may mutate freely —
-// the escape hatch from the shared read-only contract of MultiAppSweep.
-func (d *MultiAppData) Clone() *MultiAppData {
-	out := &MultiAppData{
-		Cfg:     d.Cfg,
-		Caps:    append([]float64(nil), d.Caps...),
-		Mixes:   append([]workload.Mix(nil), d.Mixes...),
-		Records: map[string]map[string]map[float64]map[string]Record{},
-		Alone:   map[string]map[string]float64{},
-	}
-	for scenario, byTech := range d.Records {
-		out.Records[scenario] = map[string]map[float64]map[string]Record{}
-		for tech, byCap := range byTech {
-			out.Records[scenario][tech] = map[float64]map[string]Record{}
-			for capW, byMix := range byCap {
-				m := map[string]Record{}
-				for name, rec := range byMix {
-					m[name] = rec.clone()
-				}
-				out.Records[scenario][tech][capW] = m
-			}
-		}
-	}
-	for scenario, byName := range d.Alone {
-		m := map[string]float64{}
-		for name, v := range byName {
-			m[name] = v
-		}
-		out.Alone[scenario] = m
-	}
-	return out
-}
-
 // multiAppTechs are the techniques the paper evaluates on mixes.
 func multiAppTechs() []string { return []string{TechRAPL, TechPUPiL} }
 
@@ -89,29 +56,10 @@ func MultiAppSweep(cfg Config) (*MultiAppData, error) {
 // on a bounded worker pool.
 //
 // The returned *MultiAppData is shared: every caller with the same Config
-// receives the same instance, so it must be treated as read-only. Callers
-// that need to mutate the data must work on a Clone. Results are identical
-// for a given Config at any parallelism.
+// receives the same instance, so it must be treated as read-only. Results
+// are identical for a given Config at any parallelism.
 func MultiAppSweepOpts(ctx context.Context, cfg Config, opts RunOpts) (*MultiAppData, error) {
-	memoMu.Lock()
-	if d, ok := multiMemo[cfg]; ok {
-		memoMu.Unlock()
-		return d, nil
-	}
-	memoMu.Unlock()
-
-	d, err := runMultiAppSweep(ctx, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if prev, ok := multiMemo[cfg]; ok {
-		return prev, nil
-	}
-	multiMemo[cfg] = d
-	return d, nil
+	return multiGrid.get(ctx, cfg, opts)
 }
 
 // runMultiAppSweep always executes the grid (no memo) in two stages: the
@@ -296,33 +244,28 @@ func Table4() *report.Table {
 
 // Table5 renders the harmonic-mean PUPiL:RAPL performance ratio per cap
 // for both scenarios.
-func Table5(cfg Config) (*report.Table, error) {
-	d, err := MultiAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
+func Table5(cfg Config) (*report.Table, error) { return rendered(multiGrid, cfg, table5From) }
+
+func table5From(d *MultiAppData) *report.Table {
+	means := table5Means(d)
 	t := report.NewTable("Table 5: Ratio of PUPiL to RAPL Performance",
 		"Power Cap", "Cooperative", "Oblivious")
 	for _, capW := range d.Caps {
 		row := []string{fmt.Sprintf("%.0fW", capW)}
 		for _, scenario := range Scenarios() {
-			var ratios []float64
-			for _, mix := range d.Mixes {
-				ratios = append(ratios, d.Ratio(scenario, capW, mix))
-			}
-			row = append(row, report.F(metrics.HarmonicMean(ratios), 2))
+			row = append(row, report.F(means[scenario][capW], 2))
 		}
 		t.AddRow(row...)
 	}
-	return t, nil
+	return t
 }
 
 // Table5Means returns the per-cap mean ratios per scenario, for assertions.
 func Table5Means(cfg Config) (map[string]map[float64]float64, error) {
-	d, err := MultiAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
+	return rendered(multiGrid, cfg, table5Means)
+}
+
+func table5Means(d *MultiAppData) map[string]map[float64]float64 {
 	out := map[string]map[float64]float64{}
 	for _, scenario := range Scenarios() {
 		out[scenario] = map[float64]float64{}
@@ -334,29 +277,21 @@ func Table5Means(cfg Config) (map[string]map[float64]float64, error) {
 			out[scenario][capW] = metrics.HarmonicMean(ratios)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Fig6 renders the per-mix PUPiL:RAPL performance ratios, one table per
 // scenario with caps as columns.
-func Fig6(cfg Config) ([]*report.Table, error) {
-	d, err := MultiAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ratioTables(d, "Fig 6", d.Ratio)
-}
+func Fig6(cfg Config) ([]*report.Table, error) { return rendered(multiGrid, cfg, fig6From) }
+
+func fig6From(d *MultiAppData) []*report.Table { return ratioTables(d, "Fig 6", d.Ratio) }
 
 // Fig8 renders the per-mix PUPiL:RAPL energy-efficiency ratios.
-func Fig8(cfg Config) ([]*report.Table, error) {
-	d, err := MultiAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ratioTables(d, "Fig 8", d.EfficiencyRatio)
-}
+func Fig8(cfg Config) ([]*report.Table, error) { return rendered(multiGrid, cfg, fig8From) }
 
-func ratioTables(d *MultiAppData, label string, cell func(string, float64, workload.Mix) float64) ([]*report.Table, error) {
+func fig8From(d *MultiAppData) []*report.Table { return ratioTables(d, "Fig 8", d.EfficiencyRatio) }
+
+func ratioTables(d *MultiAppData, label string, cell func(string, float64, workload.Mix) float64) []*report.Table {
 	var out []*report.Table
 	for _, scenario := range Scenarios() {
 		cols := []string{"Mix"}
@@ -382,7 +317,7 @@ func ratioTables(d *MultiAppData, label string, cell func(string, float64, workl
 		t.AddRow(hm...)
 		out = append(out, t)
 	}
-	return out, nil
+	return out
 }
 
 // Table6Mixes are the three mixes the paper inspects with VTune.
@@ -391,11 +326,9 @@ func Table6Mixes() []string { return []string{"mix7", "mix8", "mix12"} }
 // Table6 renders spin cycles and achieved memory bandwidth for the mixes
 // where PUPiL's advantage is largest, under the oblivious scenario at the
 // 140 W cap.
-func Table6(cfg Config) (*report.Table, error) {
-	d, err := MultiAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
+func Table6(cfg Config) (*report.Table, error) { return rendered(multiGrid, cfg, table6From) }
+
+func table6From(d *MultiAppData) *report.Table {
 	t := report.NewTable("Table 6: PUPiL and RAPL Multiapp Low-Level Counters (oblivious, 140W)",
 		"Workload", "Spin% RAPL", "Spin% PUPiL", "BW RAPL (GB/s)", "BW PUPiL (GB/s)")
 	const capW = 140.0
@@ -411,5 +344,5 @@ func Table6(cfg Config) (*report.Table, error) {
 			report.F(raplRec.Eval.MemBWGBs, 1),
 			report.F(pupilRec.Eval.MemBWGBs, 1))
 	}
-	return t, nil
+	return t
 }

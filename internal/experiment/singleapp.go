@@ -34,47 +34,6 @@ type SingleAppData struct {
 	Uncapped map[string]system.Eval
 }
 
-// Clone returns a deep copy that the caller owns and may mutate freely —
-// the escape hatch from the shared read-only contract of SingleAppSweep.
-func (d *SingleAppData) Clone() *SingleAppData {
-	out := &SingleAppData{
-		Cfg:           d.Cfg,
-		Caps:          append([]float64(nil), d.Caps...),
-		Apps:          append([]string(nil), d.Apps...),
-		Records:       map[string]map[float64]map[string]Record{},
-		OptimalRate:   map[float64]map[string]float64{},
-		OptimalPower:  map[float64]map[string]float64{},
-		OptimalConfig: map[float64]map[string]machine.Config{},
-		Uncapped:      map[string]system.Eval{},
-	}
-	for tech, byCap := range d.Records {
-		for capW, byApp := range byCap {
-			for app, rec := range byApp {
-				putR(out.Records, tech, capW, app, rec.clone())
-			}
-		}
-	}
-	for capW, byApp := range d.OptimalRate {
-		for app, v := range byApp {
-			putF(out.OptimalRate, capW, app, v)
-		}
-	}
-	for capW, byApp := range d.OptimalPower {
-		for app, v := range byApp {
-			putF(out.OptimalPower, capW, app, v)
-		}
-	}
-	for capW, byApp := range d.OptimalConfig {
-		for app, cfg := range byApp {
-			putC(out.OptimalConfig, capW, app, cfg.Clone())
-		}
-	}
-	for app, ev := range d.Uncapped {
-		out.Uncapped[app] = cloneEval(ev)
-	}
-	return out
-}
-
 // singleAppThreads is the paper's single-application thread count: all
 // benchmarks run with up to 32 threads, the hardware maximum.
 const singleAppThreads = 32
@@ -90,31 +49,10 @@ func SingleAppSweep(cfg Config) (*SingleAppData, error) {
 // on a bounded worker pool.
 //
 // The returned *SingleAppData is shared: every caller with the same Config
-// receives the same instance, so it must be treated as read-only. Callers
-// that need to mutate the data must work on a Clone. Results are identical
-// for a given Config at any parallelism.
+// receives the same instance, so it must be treated as read-only. Results
+// are identical for a given Config at any parallelism.
 func SingleAppSweepOpts(ctx context.Context, cfg Config, opts RunOpts) (*SingleAppData, error) {
-	memoMu.Lock()
-	if d, ok := singleMemo[cfg]; ok {
-		memoMu.Unlock()
-		return d, nil
-	}
-	memoMu.Unlock()
-
-	d, err := runSingleAppSweep(ctx, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	// A concurrent caller may have completed the same sweep; keep the
-	// first-stored instance so repeated calls keep returning one pointer.
-	if prev, ok := singleMemo[cfg]; ok {
-		return prev, nil
-	}
-	singleMemo[cfg] = d
-	return d, nil
+	return singleGrid.get(ctx, cfg, opts)
 }
 
 // runSingleAppSweep always executes the grid (no memo): one cell per
@@ -241,25 +179,6 @@ func putC(m map[float64]map[string]machine.Config, capW float64, app string, c m
 	m[capW][app] = c
 }
 
-// clone deep-copies a Record (slices in SteadyRates, the Eval, and the
-// final Config are all owned by the copy).
-func (r Record) clone() Record {
-	out := r
-	out.SteadyRates = append([]float64(nil), r.SteadyRates...)
-	out.Eval = cloneEval(r.Eval)
-	out.FinalConfig = r.FinalConfig.Clone()
-	return out
-}
-
-func cloneEval(ev system.Eval) system.Eval {
-	out := ev
-	out.Rates = append([]float64(nil), ev.Rates...)
-	out.PowerSocket = append([]float64(nil), ev.PowerSocket...)
-	out.PerAppSpin = append([]float64(nil), ev.PerAppSpin...)
-	out.PerAppBW = append([]float64(nil), ev.PerAppBW...)
-	return out
-}
-
 // Normalized returns a technique's steady performance normalized to
 // Optimal for one cap and app (the y-axis of Fig. 3).
 func (d *SingleAppData) Normalized(tech string, capW float64, app string) float64 {
@@ -316,16 +235,8 @@ func (d *SingleAppData) feasible(tech string, capW float64) bool {
 
 // Table3 renders the harmonic-mean normalized performance per cap and
 // technique.
-func Table3(cfg Config) (*report.Table, error) {
-	d, err := SingleAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return table3From(d), nil
-}
+func Table3(cfg Config) (*report.Table, error) { return rendered(singleGrid, cfg, table3From) }
 
-// table3From renders Table 3 from sweep data (split out so determinism
-// tests can render two independently-run sweeps without the memo).
 func table3From(d *SingleAppData) *report.Table {
 	t := report.NewTable("Table 3: Comparison of Harmonic Mean Performance (normalized to optimal)",
 		append([]string{"Power Cap"}, Techniques()...)...)
@@ -348,19 +259,21 @@ func table3From(d *SingleAppData) *report.Table {
 }
 
 // Fig3 renders per-application normalized performance, one table per cap.
-func Fig3(cfg Config) ([]*report.Table, error) {
-	d, err := SingleAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
+func Fig3(cfg Config) ([]*report.Table, error) { return rendered(singleGrid, cfg, fig3From) }
+
+func fig3From(d *SingleAppData) []*report.Table {
+	return d.perCapTables("Fig 3 (%0.fW): performance normalized to optimal", Techniques(), d.Normalized)
+}
+
+// perCapTables renders one table per cap: a row per app plus the harmonic
+// mean, a column per technique, each cell formatted from cell.
+func (d *SingleAppData) perCapTables(title string, techs []string, cell func(tech string, capW float64, app string) float64) []*report.Table {
 	var out []*report.Table
 	for _, capW := range d.Caps {
-		t := report.NewTable(
-			fmt.Sprintf("Fig 3 (%0.fW): performance normalized to optimal", capW),
-			append([]string{"Benchmark"}, Techniques()...)...)
+		t := report.NewTable(fmt.Sprintf(title, capW), append([]string{"Benchmark"}, techs...)...)
 		for _, app := range append(append([]string{}, d.Apps...), "Harm.Mean") {
 			row := []string{app}
-			for _, tech := range Techniques() {
+			for _, tech := range techs {
 				if !d.feasible(tech, capW) {
 					row = append(row, "-")
 					continue
@@ -368,18 +281,18 @@ func Fig3(cfg Config) ([]*report.Table, error) {
 				if app == "Harm.Mean" {
 					var vals []float64
 					for _, a := range d.Apps {
-						vals = append(vals, d.Normalized(tech, capW, a))
+						vals = append(vals, cell(tech, capW, a))
 					}
 					row = append(row, report.F(metrics.HarmonicMean(vals), 2))
 				} else {
-					row = append(row, report.F(d.Normalized(tech, capW, app), 2))
+					row = append(row, report.F(cell(tech, capW, app), 2))
 				}
 			}
 			t.AddRow(row...)
 		}
 		out = append(out, t)
 	}
-	return out, nil
+	return out
 }
 
 // Fig4Techs lists the techniques with online settling behaviour
@@ -390,16 +303,12 @@ func Fig4Techs() []string {
 
 // Fig4 renders settling times (ms) per application at the 140 W cap, plus
 // the cross-application average.
-func Fig4(cfg Config) (*report.Table, error) {
-	d, err := SingleAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
+func Fig4(cfg Config) (*report.Table, error) { return rendered(singleGrid, cfg, fig4From) }
+
+func fig4From(d *SingleAppData) *report.Table {
 	const capW = 140.0
 	t := report.NewTable("Fig 4: Settling time (ms) at the 140W cap",
 		append([]string{"Benchmark"}, Fig4Techs()...)...)
-	sums := map[string]float64{}
-	counts := map[string]int{}
 	for _, app := range d.Apps {
 		row := []string{app}
 		for _, tech := range Fig4Techs() {
@@ -408,32 +317,31 @@ func Fig4(cfg Config) (*report.Table, error) {
 				row = append(row, "unsettled")
 				continue
 			}
-			ms := float64(rec.Settling) / float64(time.Millisecond)
-			row = append(row, report.F(ms, 0))
-			sums[tech] += ms
-			counts[tech]++
+			row = append(row, report.F(float64(rec.Settling)/float64(time.Millisecond), 0))
 		}
 		t.AddRow(row...)
 	}
+	avgs := fig4Averages(d)
 	avg := []string{"Average"}
 	for _, tech := range Fig4Techs() {
-		if counts[tech] == 0 {
+		v, ok := avgs[tech]
+		if !ok {
 			avg = append(avg, "-")
 			continue
 		}
-		avg = append(avg, report.F(sums[tech]/float64(counts[tech]), 0))
+		avg = append(avg, report.F(v, 0))
 	}
 	t.AddRow(avg...)
-	return t, nil
+	return t
 }
 
 // Fig4Averages returns mean settling in milliseconds per technique, for
 // assertions and summaries.
 func Fig4Averages(cfg Config) (map[string]float64, error) {
-	d, err := SingleAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
+	return rendered(singleGrid, cfg, fig4Averages)
+}
+
+func fig4Averages(d *SingleAppData) map[string]float64 {
 	const capW = 140.0
 	out := map[string]float64{}
 	for _, tech := range Fig4Techs() {
@@ -449,7 +357,7 @@ func Fig4Averages(cfg Config) (map[string]float64, error) {
 			out[tech] = sum / float64(n)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Fig5Row is one benchmark's characterization point.
@@ -468,6 +376,11 @@ func Fig5(cfg Config) ([]Fig5Row, *report.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	rows, t := fig5From(d)
+	return rows, t, nil
+}
+
+func fig5From(d *SingleAppData) ([]Fig5Row, *report.Table) {
 	t := report.NewTable("Fig 5: Benchmark characteristics (uncapped, max configuration)",
 		"Benchmark", "GIPS", "MemBW GB/s", "RAPL@140W")
 	var rows []Fig5Row
@@ -481,42 +394,14 @@ func Fig5(cfg Config) ([]Fig5Row, *report.Table, error) {
 		}
 		t.AddRow(app, report.F(ev.GIPS, 1), report.F(ev.MemBWGBs, 1), cls)
 	}
-	return rows, t, nil
+	return rows, t
 }
 
 // Fig7 renders energy efficiency normalized to optimal, one table per cap
 // (Soft-Modeling is omitted, as in the paper's figure).
-func Fig7(cfg Config) ([]*report.Table, error) {
-	d, err := SingleAppSweep(cfg)
-	if err != nil {
-		return nil, err
-	}
-	techs := []string{TechRAPL, TechSoftDVFS, TechSoftDecision, TechPUPiL}
-	var out []*report.Table
-	for _, capW := range d.Caps {
-		t := report.NewTable(
-			fmt.Sprintf("Fig 7 (%0.fW): energy efficiency normalized to optimal", capW),
-			append([]string{"Benchmark"}, techs...)...)
-		for _, app := range append(append([]string{}, d.Apps...), "Harm.Mean") {
-			row := []string{app}
-			for _, tech := range techs {
-				if !d.feasible(tech, capW) {
-					row = append(row, "-")
-					continue
-				}
-				if app == "Harm.Mean" {
-					var vals []float64
-					for _, a := range d.Apps {
-						vals = append(vals, d.NormalizedEfficiency(tech, capW, a))
-					}
-					row = append(row, report.F(metrics.HarmonicMean(vals), 2))
-				} else {
-					row = append(row, report.F(d.NormalizedEfficiency(tech, capW, app), 2))
-				}
-			}
-			t.AddRow(row...)
-		}
-		out = append(out, t)
-	}
-	return out, nil
+func Fig7(cfg Config) ([]*report.Table, error) { return rendered(singleGrid, cfg, fig7From) }
+
+func fig7From(d *SingleAppData) []*report.Table {
+	return d.perCapTables("Fig 7 (%0.fW): energy efficiency normalized to optimal",
+		[]string{TechRAPL, TechSoftDVFS, TechSoftDecision, TechPUPiL}, d.NormalizedEfficiency)
 }

@@ -11,6 +11,23 @@ import (
 	"pupil/internal/workload"
 )
 
+// Table1 renders the platform description (the paper's Table 1).
+func Table1() *report.Table {
+	p := machine.E52690Server()
+	t := report.NewTable("Table 1: Server resources",
+		"Processor", "Cores", "Sockets", "Speeds (GHz)", "TurboBoost", "HyperThreads",
+		"Memory Controllers", "Socket TDP (W)", "Configurations")
+	t.AddRow(p.Name,
+		fmt.Sprintf("%d", p.CoresPerSocket),
+		fmt.Sprintf("%d", p.Sockets),
+		fmt.Sprintf("%.1f-%.1f", p.MinGHz(), p.BaseGHz()),
+		"yes", "yes",
+		fmt.Sprintf("%d", p.MemCtls),
+		fmt.Sprintf("%.0f", p.SocketTDP),
+		fmt.Sprintf("%d", p.NumConfigurations()))
+	return t
+}
+
 // Table2 runs the Algorithm 2 calibration — the embarrassingly parallel
 // benchmark activating each resource individually from the minimal
 // configuration — and renders the measured ordering with each resource's

@@ -125,43 +125,14 @@ type ThermalData struct {
 	Records    map[string]map[string]map[string]ThermalRecord
 }
 
-// thermalMemo shares the grid across tables, guarded by the package memoMu.
-var thermalMemo = map[Config]*ThermalData{}
-
-// Thermal runs (or returns the memoized) thermal grid with default
-// execution options. The returned data is shared and must be treated as
-// read-only.
-func Thermal(cfg Config) (*ThermalData, error) {
-	return ThermalOpts(context.Background(), cfg, RunOpts{})
+// runThermalGrid runs the full thermal grid: every technique in every
+// environment under both protection modes.
+func runThermalGrid(ctx context.Context, cfg Config, opts RunOpts) (*ThermalData, error) {
+	return runThermal(ctx, cfg, opts, thermalTechniques(), thermalEnvs())
 }
 
-// ThermalOpts runs (or returns the memoized) thermal grid on a bounded
-// worker pool. Results are identical for a given Config at any
-// parallelism.
-func ThermalOpts(ctx context.Context, cfg Config, opts RunOpts) (*ThermalData, error) {
-	memoMu.Lock()
-	if d, ok := thermalMemo[cfg]; ok {
-		memoMu.Unlock()
-		return d, nil
-	}
-	memoMu.Unlock()
-
-	d, err := runThermal(ctx, cfg, opts, thermalTechniques(), thermalEnvs())
-	if err != nil {
-		return nil, err
-	}
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if prev, ok := thermalMemo[cfg]; ok {
-		return prev, nil
-	}
-	thermalMemo[cfg] = d
-	return d, nil
-}
-
-// runThermal always executes the grid (no memo), over an explicit
-// technique/environment selection so tests can run cut-down grids.
+// runThermal executes the grid over an explicit technique/environment
+// selection so tests can run cut-down grids.
 func runThermal(ctx context.Context, cfg Config, opts RunOpts, techs []string, envs []thermalEnv) (*ThermalData, error) {
 	d := &ThermalData{Cfg: cfg, Techniques: techs, Modes: thermalModes(), Records: map[string]map[string]map[string]ThermalRecord{}}
 	for _, e := range envs {
@@ -238,17 +209,7 @@ func runThermalCell(ctx context.Context, cfg Config, tech string, e thermalEnv, 
 	}, nil
 }
 
-// TableThermal renders the thermal comparison table.
-func TableThermal(cfg Config) (*report.Table, error) {
-	d, err := Thermal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tableThermalFrom(d), nil
-}
-
-// tableThermalFrom renders the table from grid data (split out so
-// determinism tests can render independently-run grids without the memo).
+// tableThermalFrom renders the thermal comparison table.
 func tableThermalFrom(d *ThermalData) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Thermal: duty-cycle throttle vs headroom governor, %s x%d, %.0fW cap", thermalBenchmark, thermalThreads, thermalCap),

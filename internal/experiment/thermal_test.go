@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"reflect"
 	"testing"
 )
 
@@ -22,7 +21,7 @@ func thermalRec(t *testing.T, d *ThermalData, tech, env, mode string) ThermalRec
 // steady performance than the package's reactive duty-cycle throttle,
 // while holding the junction at or below the trip point.
 func TestThermalGovernorWinsWhenBound(t *testing.T) {
-	d, err := Thermal(quickCfg())
+	d, err := thermalGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestThermalGovernorWinsWhenBound(t *testing.T) {
 // capping — leakage and throttling never become a path around the RAPL
 // cap in any cell.
 func TestThermalCapStillEnforced(t *testing.T) {
-	d, err := Thermal(quickCfg())
+	d, err := thermalGrid.get(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,37 +90,14 @@ func TestThermalMiniGridExplicitSelection(t *testing.T) {
 	}
 }
 
-// TestThermalDeterministicAcrossParallelism: the thermal grid must be
-// byte-identical whether cells run one at a time or eight at a time.
-func TestThermalDeterministicAcrossParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full quick thermal grids")
-	}
-	ctx := context.Background()
-	cfg := quickCfg()
-	seq, err := runThermal(ctx, cfg, RunOpts{Parallel: 1}, thermalTechniques(), thermalEnvs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runThermal(ctx, cfg, RunOpts{Parallel: 8}, thermalTechniques(), thermalEnvs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("ThermalData differs between parallel=1 and parallel=8")
-	}
-	if a, b := tableThermalFrom(seq).String(), tableThermalFrom(par).String(); a != b {
-		t.Errorf("rendered thermal table differs between parallel=1 and parallel=8:\n--- parallel=1\n%s\n--- parallel=8\n%s", a, b)
-	}
-}
-
 // TestThermalMemoized documents the memo contract for the thermal grid.
 func TestThermalMemoized(t *testing.T) {
-	a, err := Thermal(quickCfg())
+	ctx := context.Background()
+	a, err := thermalGrid.get(ctx, quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Thermal(quickCfg())
+	b, err := thermalGrid.get(ctx, quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

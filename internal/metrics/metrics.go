@@ -128,22 +128,6 @@ func HarmonicMean(values []float64) float64 {
 	return float64(len(values)) / sum
 }
 
-// GeometricMean returns the geometric mean of positive values; used for
-// summarizing ratio metrics (Fig. 6's per-mix ratios).
-func GeometricMean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, v := range values {
-		if v <= 0 {
-			return 0
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(values)))
-}
-
 // Efficiency returns performance per Watt, the energy-efficiency metric of
 // Section 5.5 ("how much work can be done per joule").
 func Efficiency(perf, watts float64) float64 {

@@ -126,16 +126,6 @@ func TestHarmonicMeanDominatedByWorst(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	gm := GeometricMean([]float64{2, 8})
-	if math.Abs(gm-4) > 1e-12 {
-		t.Errorf("GeometricMean = %g, want 4", gm)
-	}
-	if GeometricMean([]float64{1, -1}) != 0 {
-		t.Error("GeometricMean with non-positive value should be 0")
-	}
-}
-
 func TestEfficiency(t *testing.T) {
 	if e := Efficiency(50, 100); e != 0.5 {
 		t.Errorf("Efficiency = %g, want 0.5", e)

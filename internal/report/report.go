@@ -1,6 +1,6 @@
-// Package report renders experiment results as aligned text tables, CSV,
-// and simple ASCII charts for terminal consumption — the reproduction's
-// stand-in for the paper's figures.
+// Package report renders experiment results as aligned text tables and
+// CSV for terminal consumption — the reproduction's stand-in for the
+// paper's figures.
 package report
 
 import (
@@ -90,89 +90,4 @@ func F(v float64, decimals int) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.*f", decimals, v)
-}
-
-// Bars renders a one-series horizontal ASCII bar chart with the given
-// width budget; values must be non-negative.
-func Bars(title string, labels []string, values []float64, width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	lw := 0
-	for _, l := range labels {
-		if len(l) > lw {
-			lw = len(l)
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(math.Round(v / max * float64(width)))
-		}
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		fmt.Fprintf(&b, "%-*s |%s %s\n", lw, label, strings.Repeat("#", n), F(v, 3))
-	}
-	return b.String()
-}
-
-// LogBars renders bars on a log10 scale, for spans like settling times
-// (Fig. 4 uses a logarithmic y-axis). Non-positive values render empty.
-func LogBars(title string, labels []string, values []float64, width int) string {
-	logs := make([]float64, len(values))
-	min, max := math.Inf(1), math.Inf(-1)
-	for i, v := range values {
-		if v > 0 {
-			logs[i] = math.Log10(v)
-			min = math.Min(min, logs[i])
-			max = math.Max(max, logs[i])
-		} else {
-			logs[i] = math.NaN()
-		}
-	}
-	if math.IsInf(min, 1) {
-		return title + "\n(no data)\n"
-	}
-	span := max - min
-	if span <= 0 {
-		span = 1
-	}
-	if width <= 0 {
-		width = 50
-	}
-	lw := 0
-	for _, l := range labels {
-		if len(l) > lw {
-			lw = len(l)
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s (log scale)\n", title)
-	}
-	for i, lg := range logs {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		if math.IsNaN(lg) {
-			fmt.Fprintf(&b, "%-*s | -\n", lw, label)
-			continue
-		}
-		n := 1 + int(math.Round((lg-min)/span*float64(width-1)))
-		fmt.Fprintf(&b, "%-*s |%s %s\n", lw, label, strings.Repeat("#", n), F(values[i], 1))
-	}
-	return b.String()
 }

@@ -55,51 +55,3 @@ func TestF(t *testing.T) {
 		t.Errorf("F(Inf) = %q, want dash", got)
 	}
 }
-
-func TestBars(t *testing.T) {
-	out := Bars("chart", []string{"a", "bb"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("Bars rendered %d lines: %q", len(lines), out)
-	}
-	if strings.Count(lines[2], "#") != 10 {
-		t.Errorf("max bar should fill the width: %q", lines[2])
-	}
-	if strings.Count(lines[1], "#") != 5 {
-		t.Errorf("half bar should be half the width: %q", lines[1])
-	}
-}
-
-func TestBarsZeroValues(t *testing.T) {
-	out := Bars("", []string{"a"}, []float64{0}, 10)
-	if strings.Contains(out, "#") {
-		t.Errorf("zero value drew a bar: %q", out)
-	}
-}
-
-func TestLogBars(t *testing.T) {
-	out := LogBars("settling", []string{"rapl", "sd"}, []float64{300, 95000}, 40)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("LogBars rendered %d lines: %q", len(lines), out)
-	}
-	small := strings.Count(lines[1], "#")
-	large := strings.Count(lines[2], "#")
-	if small >= large {
-		t.Errorf("log bars not ordered: %d vs %d", small, large)
-	}
-	if small < 1 {
-		t.Errorf("smallest positive value should still draw one mark")
-	}
-}
-
-func TestLogBarsHandlesNonPositive(t *testing.T) {
-	out := LogBars("x", []string{"a", "b"}, []float64{0, 10}, 20)
-	if !strings.Contains(out, "| -") {
-		t.Errorf("non-positive value not dashed: %q", out)
-	}
-	empty := LogBars("x", []string{"a"}, []float64{0}, 20)
-	if !strings.Contains(empty, "no data") {
-		t.Errorf("all-non-positive chart should say no data: %q", empty)
-	}
-}

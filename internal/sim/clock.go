@@ -35,9 +35,6 @@ func (c *Clock) Advance(dt time.Duration) {
 	c.now += dt
 }
 
-// Reset rewinds the clock to t=0.
-func (c *Clock) Reset() { c.now = 0 }
-
 // Seconds converts a simulated duration to floating-point seconds. It is the
 // single conversion point between the kernel's time.Duration domain and the
 // physics models' float64 domain.

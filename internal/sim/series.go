@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -87,19 +86,6 @@ func (s *Series) MeanBetween(from, to time.Duration) float64 {
 		sum += sm.V
 	}
 	return sum / float64(len(w))
-}
-
-// MaxBetween returns the maximum sample value with from <= T < to, or
-// negative infinity when the window is empty.
-func (s *Series) MaxBetween(from, to time.Duration) float64 {
-	w := s.Between(from, to)
-	m := math.Inf(-1)
-	for _, sm := range w {
-		if sm.V > m {
-			m = sm.V
-		}
-	}
-	return m
 }
 
 // CSV renders the series as two-column CSV (seconds, value) for external

@@ -16,10 +16,6 @@ func TestClockAdvance(t *testing.T) {
 	if c.Now() != 15*time.Millisecond {
 		t.Errorf("Now = %v, want 15ms", c.Now())
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("Now after Reset = %v, want 0", c.Now())
-	}
 }
 
 func TestClockRejectsNegative(t *testing.T) {
@@ -127,12 +123,6 @@ func TestSeriesWindowing(t *testing.T) {
 	}
 	if m := s.MeanBetween(0, 10*time.Second); m != 4.5 {
 		t.Errorf("MeanBetween = %g, want 4.5", m)
-	}
-	if m := s.MaxBetween(2*time.Second, 5*time.Second); m != 4 {
-		t.Errorf("MaxBetween = %g, want 4", m)
-	}
-	if !math.IsInf(s.MaxBetween(20*time.Second, 30*time.Second), -1) {
-		t.Errorf("MaxBetween on empty window should be -Inf")
 	}
 }
 
