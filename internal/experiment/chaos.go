@@ -8,7 +8,6 @@ import (
 	"pupil/internal/driver"
 	"pupil/internal/faults"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
 	"pupil/internal/workload"
 )
 
@@ -171,29 +170,24 @@ func runChaos(ctx context.Context, cfg Config, opts RunOpts, variants []chaosVar
 		d.Profiles = append(d.Profiles, p.name)
 	}
 
-	var cells []sweep.Cell[ChaosRecord]
+	type chaosKey struct {
+		v chaosVariant
+		p chaosProfile
+	}
+	var keys []chaosKey
 	for _, v := range variants {
 		for _, p := range profiles {
-			v, p := v, p
-			cells = append(cells, sweep.Cell[ChaosRecord]{
-				Label: fmt.Sprintf("chaos/%s/%s", v.name, p.name),
-				Run: func(ctx context.Context) (ChaosRecord, error) {
-					return h.runChaosCell(ctx, cfg, v, p)
-				},
-			})
+			keys = append(keys, chaosKey{v, p})
 		}
 	}
-	results, err := sweep.Run(ctx, cells, opts.sweep())
+	results, err := runGrid(ctx, opts, "chaos sweep", keys,
+		func(k chaosKey) string { return fmt.Sprintf("chaos/%s/%s", k.v.name, k.p.name) },
+		func(ctx context.Context, k chaosKey) (ChaosRecord, error) { return h.runChaosCell(ctx, cfg, k.v, k.p) })
 	if err != nil {
-		return nil, fmt.Errorf("experiment: chaos sweep: %w", err)
+		return nil, err
 	}
-	i := 0
-	for _, v := range variants {
-		d.Records[v.name] = map[string]ChaosRecord{}
-		for _, p := range profiles {
-			d.Records[v.name][p.name] = results[i]
-			i++
-		}
+	for i, k := range keys {
+		put2(d.Records, k.v.name, k.p.name, results[i])
 	}
 	return d, nil
 }

@@ -6,12 +6,8 @@ import (
 	"time"
 
 	"pupil/internal/cluster"
-	"pupil/internal/core"
 	"pupil/internal/faults"
-	"pupil/internal/machine"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
-	"pupil/internal/workload"
 )
 
 // The chaoscluster experiment is the fleet-level counterpart of the chaos
@@ -31,9 +27,6 @@ import (
 // chaosClusterBudgetPerNode is the per-node budget of every cell; the
 // fleet budget is this times the node count.
 const chaosClusterBudgetPerNode = 120.0
-
-// chaosClusterFloor mirrors the coordinator's default safety floor.
-const chaosClusterFloor = 25.0
 
 // chaosClusterEpoch is the coordination epoch of every cell.
 const chaosClusterEpoch = time.Second
@@ -148,34 +141,31 @@ func runChaosClusterGrid(ctx context.Context, cfg Config, opts RunOpts) (*ChaosC
 		d.Profiles = append(d.Profiles, p.name)
 	}
 
-	var cells []sweep.Cell[ChaosClusterRecord]
+	type chaosClusterKey struct {
+		policy string
+		prof   chaosClusterProfile
+		health string
+	}
+	var keys []chaosClusterKey
 	for _, pol := range d.Policies {
 		for _, p := range profiles {
 			for _, hm := range d.HealthModes {
-				pol, p, hm := pol, p, hm
-				cells = append(cells, sweep.Cell[ChaosClusterRecord]{
-					Label: fmt.Sprintf("chaoscluster/%s/%s/%s", pol, p.name, hm),
-					Run: func(ctx context.Context) (ChaosClusterRecord, error) {
-						return runChaosClusterCell(ctx, cfg, pol, p, hm)
-					},
-				})
+				keys = append(keys, chaosClusterKey{pol, p, hm})
 			}
 		}
 	}
-	results, err := sweep.Run(ctx, cells, opts.sweep())
+	results, err := runGrid(ctx, opts, "chaoscluster sweep", keys,
+		func(k chaosClusterKey) string {
+			return fmt.Sprintf("chaoscluster/%s/%s/%s", k.policy, k.prof.name, k.health)
+		},
+		func(ctx context.Context, k chaosClusterKey) (ChaosClusterRecord, error) {
+			return runChaosClusterCell(ctx, cfg, k.policy, k.prof, k.health)
+		})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: chaoscluster sweep: %w", err)
+		return nil, err
 	}
-	i := 0
-	for _, pol := range d.Policies {
-		d.Records[pol] = map[string]map[string]ChaosClusterRecord{}
-		for _, p := range profiles {
-			d.Records[pol][p.name] = map[string]ChaosClusterRecord{}
-			for _, hm := range d.HealthModes {
-				d.Records[pol][p.name][hm] = results[i]
-				i++
-			}
-		}
+	for i, k := range keys {
+		put3(d.Records, k.policy, k.prof.name, k.health, results[i])
 	}
 	return d, nil
 }
@@ -187,94 +177,32 @@ func runChaosClusterGrid(ctx context.Context, cfg Config, opts RunOpts) (*ChaosC
 // rows must come out bit-identical and every faulted comparison is
 // apples-to-apples.
 func runChaosClusterCell(ctx context.Context, cfg Config, policyName string, prof chaosClusterProfile, healthMode string) (ChaosClusterRecord, error) {
-	policy, err := cluster.PolicyByName(policyName)
-	if err != nil {
-		return ChaosClusterRecord{}, err
+	run := fleetRun{
+		policy:         policyName,
+		nodes:          chaosClusterNodes(cfg),
+		topology:       cluster.Topology{NodesPerRack: 4},
+		salt:           seedFor("chaoscluster", policyName, prof.name),
+		epoch:          chaosClusterEpoch,
+		phaseBudgets:   []float64{chaosClusterBudgetPerNode},
+		epochsPerPhase: chaosClusterEpochs(cfg),
+		fault:          prof.sc,
+		faultDomain:    prof.domain,
+		skip:           chaosClusterOnsetEpochs,
 	}
-	n := chaosClusterNodes(cfg)
-	plat := machine.E52690Server()
-	specs := make([]cluster.NodeSpec, n)
-	for i := 0; i < n; i++ {
-		w := clusterWorkloads[i%len(clusterWorkloads)]
-		wp, err := workload.ByName(w.name)
-		if err != nil {
-			return ChaosClusterRecord{}, err
-		}
-		specs[i] = cluster.NodeSpec{
-			Name:     fmt.Sprintf("%s%d", w.name, i),
-			Platform: plat,
-			Specs:    []workload.Spec{{Profile: wp, Threads: w.threads}},
-			NewController: func(p *machine.Platform) core.Controller {
-				return core.NewPUPiL(core.DefaultOrdered(p))
-			},
-		}
-	}
-	var hc *cluster.HealthConfig
 	if healthMode == "quarantine" {
-		hc = &cluster.HealthConfig{}
+		run.health = &cluster.HealthConfig{}
 	}
-	coord, err := cluster.NewCoordinator(cluster.Config{
-		Nodes:       specs,
-		BudgetWatts: chaosClusterBudgetPerNode * float64(n),
-		Epoch:       chaosClusterEpoch,
-		Policy:      policy,
-		Seed:        cfg.Seed ^ seedFor("chaoscluster", policyName, prof.name),
-		Topology:    cluster.Topology{NodesPerRack: 4},
-		Parallel:    1,
-		Health:      hc,
-	})
+	res, err := runFleet(ctx, cfg, run)
 	if err != nil {
 		return ChaosClusterRecord{}, err
 	}
-
-	// Schedule the profile and remember which nodes it dooms, so stranded
-	// budget is measured against exactly the failed set.
-	var faulted []int
-	if prof.sc != nil {
-		if prof.domain != "" {
-			hit, err := coord.InjectDomainFault(prof.domain, *prof.sc)
-			if err != nil {
-				return ChaosClusterRecord{}, err
-			}
-			for i := 0; i < hit; i++ {
-				faulted = append(faulted, i)
-			}
-		} else {
-			if err := coord.InjectNodeFault(0, *prof.sc); err != nil {
-				return ChaosClusterRecord{}, err
-			}
-			faulted = []int{0}
-		}
-	}
-
-	var rec ChaosClusterRecord
-	samples := 0
-	for e := 1; e <= chaosClusterEpochs(cfg); e++ {
-		if err := coord.StepContext(ctx, chaosClusterEpoch); err != nil {
-			return ChaosClusterRecord{}, err
-		}
-		if err := coord.CheckInvariants(); err != nil {
-			return ChaosClusterRecord{}, fmt.Errorf("epoch %d: %w", e, err)
-		}
-		if e <= chaosClusterOnsetEpochs {
-			continue
-		}
-		sn := coord.Snapshot()
-		rec.MeanPerf += sn.TotalRate
-		for _, i := range faulted {
-			if over := sn.Nodes[i].CapWatts - chaosClusterFloor; over > 0 {
-				rec.StrandedWatts += over
-			}
-		}
-		samples++
-	}
-	rec.MeanPerf /= float64(samples)
-	rec.StrandedWatts /= float64(samples)
-	final := coord.Snapshot()
-	rec.ReclaimedWatts = final.ReclaimedWatts
-	rec.Benched = final.Quarantined
-	rec.Transitions = len(coord.HealthEvents())
-	return rec, nil
+	return ChaosClusterRecord{
+		MeanPerf:       res.meanRate,
+		StrandedWatts:  res.meanStranded,
+		ReclaimedWatts: res.final.ReclaimedWatts,
+		Benched:        res.final.Quarantined,
+		Transitions:    res.healthEvents,
+	}, nil
 }
 
 // tableChaosClusterFrom renders the fleet chaos comparison: throughput,

@@ -5,12 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"pupil/internal/cluster"
-	"pupil/internal/core"
-	"pupil/internal/machine"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
-	"pupil/internal/workload"
 )
 
 // The cluster experiment compares the coordinator's rebalancing policies —
@@ -23,19 +18,6 @@ import (
 // allocation. This is the Section 6 direction of the paper (node-level
 // capping as the building block for coordinated, cluster-level management)
 // made concrete.
-
-// clusterWorkloads is the per-node workload rotation: node i of a cluster
-// runs entry i mod 4, alternating power-hungry compute with memory-bound
-// kernels so demand is genuinely uneven across the cluster.
-var clusterWorkloads = []struct {
-	name    string
-	threads int
-}{
-	{"blackscholes", 32},
-	{"STREAM", 8},
-	{"swaptions", 32},
-	{"kmeans", 8},
-}
 
 // clusterNodeCounts is the cluster-size axis of the grid.
 func clusterNodeCounts() []int { return []int{2, 4, 8} }
@@ -93,100 +75,43 @@ func runClusterGrid(ctx context.Context, cfg Config, opts RunOpts) (*ClusterData
 		NodeCounts: clusterNodeCounts(),
 		Records:    map[string]map[int]ClusterRecord{},
 	}
-	var cells []sweep.Cell[ClusterRecord]
+	type clusterKey struct {
+		policy string
+		n      int
+	}
+	var keys []clusterKey
 	for _, pol := range d.Policies {
 		for _, n := range d.NodeCounts {
-			pol, n := pol, n
-			cells = append(cells, sweep.Cell[ClusterRecord]{
-				Label: fmt.Sprintf("cluster/%s/%d", pol, n),
-				Run: func(ctx context.Context) (ClusterRecord, error) {
-					return runClusterCell(ctx, cfg, pol, n)
-				},
-			})
+			keys = append(keys, clusterKey{pol, n})
 		}
 	}
-	results, err := sweep.Run(ctx, cells, opts.sweep())
+	results, err := runGrid(ctx, opts, "cluster sweep", keys,
+		func(k clusterKey) string { return fmt.Sprintf("cluster/%s/%d", k.policy, k.n) },
+		func(ctx context.Context, k clusterKey) (ClusterRecord, error) {
+			res, err := runFleet(ctx, cfg, clusterRamp(cfg, k.policy, k.n,
+				seedFor("cluster", k.policy, fmt.Sprintf("%d", k.n))))
+			return ClusterRecord{PhasePerf: res.phaseRate, PhasePower: res.phasePower, MinShareFrac: res.minShare}, err
+		})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: cluster sweep: %w", err)
+		return nil, err
 	}
-	i := 0
-	for _, pol := range d.Policies {
-		d.Records[pol] = map[int]ClusterRecord{}
-		for _, n := range d.NodeCounts {
-			d.Records[pol][n] = results[i]
-			i++
-		}
+	for i, k := range keys {
+		put2(d.Records, k.policy, k.n, results[i])
 	}
 	return d, nil
 }
 
-// runClusterCell drives one coordinator — one policy at one cluster size —
-// through the budget ramp. Each node is a full simulated machine under the
-// hybrid (PUPiL) node-level capper; the grid cell itself is one sweep unit,
-// so the coordinator steps its sessions sequentially (Parallel: 1) and the
-// pool parallelism lives at the grid level.
-func runClusterCell(ctx context.Context, cfg Config, policyName string, n int) (ClusterRecord, error) {
-	policy, err := cluster.PolicyByName(policyName)
-	if err != nil {
-		return ClusterRecord{}, err
+// clusterRamp is one policy at one cluster size through the three-phase
+// budget ramp, the run of every cluster and hierarchy cell.
+func clusterRamp(cfg Config, policy string, n int, salt uint64) fleetRun {
+	return fleetRun{
+		policy:         policy,
+		nodes:          n,
+		salt:           salt,
+		epoch:          clusterEpoch(cfg),
+		phaseBudgets:   clusterPhaseBudgets(),
+		epochsPerPhase: clusterEpochsPerPhase(cfg),
 	}
-	plat := machine.E52690Server()
-	specs := make([]cluster.NodeSpec, n)
-	for i := 0; i < n; i++ {
-		w := clusterWorkloads[i%len(clusterWorkloads)]
-		prof, err := workload.ByName(w.name)
-		if err != nil {
-			return ClusterRecord{}, err
-		}
-		specs[i] = cluster.NodeSpec{
-			Name:     fmt.Sprintf("%s%d", w.name, i),
-			Platform: plat,
-			Specs:    []workload.Spec{{Profile: prof, Threads: w.threads}},
-			NewController: func(p *machine.Platform) core.Controller {
-				return core.NewPUPiL(core.DefaultOrdered(p))
-			},
-		}
-	}
-
-	budgets := clusterPhaseBudgets()
-	epoch := clusterEpoch(cfg)
-	perPhase := clusterEpochsPerPhase(cfg)
-	coord, err := cluster.NewCoordinator(cluster.Config{
-		Nodes:       specs,
-		BudgetWatts: budgets[0] * float64(n),
-		Epoch:       epoch,
-		Policy:      policy,
-		Seed:        cfg.Seed ^ seedFor("cluster", policyName, fmt.Sprintf("%d", n)),
-		Parallel:    1,
-	})
-	if err != nil {
-		return ClusterRecord{}, err
-	}
-
-	rec := ClusterRecord{MinShareFrac: 1}
-	for phase, perNode := range budgets {
-		budget := perNode * float64(n)
-		if phase > 0 {
-			if err := coord.SetBudget(budget); err != nil {
-				return ClusterRecord{}, err
-			}
-		}
-		for e := 0; e < perPhase; e++ {
-			if err := coord.StepContext(ctx, epoch); err != nil {
-				return ClusterRecord{}, err
-			}
-			fair := budget / float64(n)
-			for _, capW := range coord.Assignments() {
-				if frac := capW / fair; frac < rec.MinShareFrac {
-					rec.MinShareFrac = frac
-				}
-			}
-		}
-		sn := coord.Snapshot()
-		rec.PhasePerf = append(rec.PhasePerf, sn.TotalRate)
-		rec.PhasePower = append(rec.PhasePower, sn.TotalPower)
-	}
-	return rec, nil
 }
 
 // tableClusterFrom renders the cluster-policy comparison: per-phase cluster

@@ -226,10 +226,53 @@ func (h *harness) aloneRate(name string, threads int) (float64, error) {
 	return ev.TotalRate(), nil
 }
 
+// warmAlone fills the isolated-rate cache for every distinct (benchmark,
+// thread count) the mixes run, once each, in first-appearance order with
+// threads outermost. Each rate is an oracle search, so they join the
+// worker pool; mixInputs then reads them from the cache.
+func (h *harness) warmAlone(ctx context.Context, opts RunOpts, what string, mixes []workload.Mix, threads ...int) error {
+	type aloneKey struct {
+		name    string
+		threads int
+	}
+	var keys []aloneKey
+	seen := map[aloneKey]bool{}
+	for _, t := range threads {
+		for _, mix := range mixes {
+			for _, name := range mix.Names {
+				if k := (aloneKey{name, t}); !seen[k] {
+					seen[k] = true
+					keys = append(keys, k)
+				}
+			}
+		}
+	}
+	_, err := runGrid(ctx, opts, what, keys,
+		func(k aloneKey) string { return fmt.Sprintf("alone/%s/%dt", k.name, k.threads) },
+		func(_ context.Context, k aloneKey) (float64, error) { return h.aloneRate(k.name, k.threads) })
+	return err
+}
+
+// mixInputs returns a mix's workload specs at threads each and its
+// weighted-speedup weights, each member's isolated rate.
+func (h *harness) mixInputs(mix workload.Mix, threads int) ([]workload.Spec, []float64, error) {
+	profs, err := mix.Profiles()
+	if err != nil {
+		return nil, nil, err
+	}
+	weights := make([]float64, len(profs))
+	for i, p := range profs {
+		if weights[i], err = h.aloneRate(p.Name, threads); err != nil {
+			return nil, nil, err
+		}
+	}
+	return workload.Specs(profs, threads), weights, nil
+}
+
 // instances builds a fresh single-benchmark workload. Every grid cell
 // constructs its own instances: workload.Instance carries progress state, so
 // sharing one across concurrent evaluations would race.
-func (h *harness) instances(app string, threads int) ([]workload.Spec, []*workload.Instance, error) {
+func instances(app string, threads int) ([]workload.Spec, []*workload.Instance, error) {
 	prof, err := workload.ByName(app)
 	if err != nil {
 		return nil, nil, err
@@ -244,6 +287,40 @@ func (h *harness) instances(app string, threads int) ([]workload.Spec, []*worklo
 
 // seedFor derives a stable per-run seed salt from cell labels.
 func seedFor(labels ...string) uint64 { return sweep.Seed(labels...) }
+
+// runGrid runs one cell per key, labelled by label, on opts' worker pool
+// and returns the results in key order, so callers store each result under
+// the key it was run with. A failure reads "experiment: <what>: ...".
+func runGrid[K, R any](ctx context.Context, opts RunOpts, what string, keys []K, label func(K) string, run func(context.Context, K) (R, error)) ([]R, error) {
+	cells := make([]sweep.Cell[R], len(keys))
+	for i, k := range keys {
+		cells[i] = sweep.Cell[R]{
+			Label: label(k),
+			Run:   func(ctx context.Context) (R, error) { return run(ctx, k) },
+		}
+	}
+	results, err := sweep.Run(ctx, cells, opts.sweep())
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %s: %w", what, err)
+	}
+	return results, nil
+}
+
+// put2 sets m[a][b] = v, creating the inner map as needed.
+func put2[A, B comparable, V any](m map[A]map[B]V, a A, b B, v V) {
+	if m[a] == nil {
+		m[a] = map[B]V{}
+	}
+	m[a][b] = v
+}
+
+// put3 sets m[a][b][c] = v, creating the inner maps as needed.
+func put3[A, B, C comparable, V any](m map[A]map[B]map[C]V, a A, b B, c C, v V) {
+	if m[a] == nil {
+		m[a] = map[B]map[C]V{}
+	}
+	put2(m[a], b, c, v)
+}
 
 // memo shares one grid per Config across every caller. get checks the map
 // under the lock and runs a miss outside it, so distinct configs overlap;

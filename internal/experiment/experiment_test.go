@@ -107,6 +107,48 @@ func TestMemo(t *testing.T) {
 	}
 }
 
+// TestExperimentsCancelled runs every registered experiment under an
+// already-cancelled context, at a Config no other test uses: the static
+// tables (table1, table2, table4) run no grid and succeed, every other
+// entry fails with context.Canceled, and no memo stores a grid for that
+// Config — a cancelled run is never memoized.
+func TestExperimentsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{Seed: 4242, Quick: true}
+	static := map[string]bool{"table1": true, "table2": true, "table4": true}
+	for _, e := range Experiments() {
+		_, err := e.Run(ctx, cfg, RunOpts{})
+		switch {
+		case static[e.Name] && err != nil:
+			t.Errorf("%s: %v", e.Name, err)
+		case !static[e.Name] && !errors.Is(err, context.Canceled):
+			t.Errorf("%s under a cancelled context returned %v, want context.Canceled", e.Name, err)
+		}
+	}
+	for name, ok := range map[string]bool{
+		"single-app":   memoHas(singleGrid, cfg),
+		"multi-app":    memoHas(multiGrid, cfg),
+		"chaos":        memoHas(chaosGrid, cfg),
+		"cluster":      memoHas(clusterGrid, cfg),
+		"hierarchy":    memoHas(hierarchyGrid, cfg),
+		"chaoscluster": memoHas(chaosClusterGrid, cfg),
+		"thermal":      memoHas(thermalGrid, cfg),
+	} {
+		if ok {
+			t.Errorf("%s memo stored a grid from a cancelled run", name)
+		}
+	}
+}
+
+// memoHas reports whether m has stored a grid for cfg.
+func memoHas[D any](m *memo[D], cfg Config) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.done[cfg]
+	return ok
+}
+
 // TestTable3Ordering asserts the paper's central efficiency ordering at
 // every cap: PUPiL and Soft-Decision beat RAPL; PUPiL is the best overall.
 func TestTable3Ordering(t *testing.T) {
@@ -389,7 +431,7 @@ func TestRenderedTablesComplete(t *testing.T) {
 // it near optimal at the default noise level and degrade gracefully (not
 // collapse) at 10x noise, while the cap stays enforced.
 func TestSensitivityGracefulDegradation(t *testing.T) {
-	rows, table, err := Sensitivity(quickCfg())
+	rows, table, err := SensitivityOpts(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +502,7 @@ func TestHeadlineNumbersPinned(t *testing.T) {
 // TestExtensionEASNeverRegresses: per-application pinning is only adopted
 // when it helps, so the extension must never fall below plain PUPiL.
 func TestExtensionEASNeverRegresses(t *testing.T) {
-	table, err := ExtensionEAS(quickCfg())
+	table, err := ExtensionEASOpts(context.Background(), quickCfg(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

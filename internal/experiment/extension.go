@@ -8,14 +8,17 @@ import (
 	"pupil/internal/driver"
 	"pupil/internal/metrics"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
 	"pupil/internal/workload"
 )
 
-// ExtensionEAS quantifies the PUPiL-EAS extension with default execution
-// options. See ExtensionEASOpts.
-func ExtensionEAS(cfg Config) (*report.Table, error) {
-	return ExtensionEASOpts(context.Background(), cfg, RunOpts{})
+// easKey is one cell of the EAS grid: plain PUPiL or PUPiL-EAS on one
+// oblivious mix at one cap.
+type easKey struct {
+	mix     string
+	capW    float64
+	variant string
+	specs   []workload.Spec
+	weights []float64
 }
 
 // ExtensionEASOpts quantifies the PUPiL-EAS extension (the paper's Section 6
@@ -36,92 +39,59 @@ func ExtensionEASOpts(ctx context.Context, cfg Config, opts RunOpts) (*report.Ta
 		mixNames = []string{"mix7", "mix12"}
 	}
 	caps := []float64{140, 220}
-
-	// Stage 1: isolated-rate normalizations (each an oracle search).
-	var aloneCells []sweep.Cell[struct{}]
-	seen := map[string]bool{}
-	for _, mixName := range mixNames {
-		mix, err := workload.MixByName(mixName)
-		if err != nil {
+	mixes := make([]workload.Mix, len(mixNames))
+	for i, name := range mixNames {
+		if mixes[i], err = workload.MixByName(name); err != nil {
 			return nil, err
 		}
-		for _, name := range mix.Names {
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			name := name
-			aloneCells = append(aloneCells, sweep.Cell[struct{}]{
-				Label: "alone/" + name,
-				Run: func(ctx context.Context) (struct{}, error) {
-					_, err := h.aloneRate(name, 32)
-					return struct{}{}, err
-				},
-			})
-		}
 	}
-	if _, err := sweep.Run(ctx, aloneCells, opts.sweep()); err != nil {
-		return nil, fmt.Errorf("experiment: EAS isolated rates: %w", err)
+	if err := h.warmAlone(ctx, opts, "EAS isolated rates", mixes, 32); err != nil {
+		return nil, err
 	}
 
-	// Stage 2: one cell per mix x cap x {PUPiL, PUPiL-EAS}.
-	type variant struct {
-		label string
-		ctrl  func() core.Controller
-	}
-	variants := []variant{
-		{"pupil", func() core.Controller { return core.NewPUPiL(core.DefaultOrdered(h.plat)) }},
-		{"eas", func() core.Controller { return core.NewPUPiLEAS(core.DefaultOrdered(h.plat)) }},
-	}
-	var cells []sweep.Cell[float64]
-	for _, mixName := range mixNames {
-		mix, err := workload.MixByName(mixName)
+	// One cell per mix x cap x {PUPiL, PUPiL-EAS}.
+	variants := []string{"pupil", "eas"}
+	var keys []easKey
+	for _, mix := range mixes {
+		specs, weights, err := h.mixInputs(mix, 32)
 		if err != nil {
 			return nil, err
-		}
-		profs, err := mix.Profiles()
-		if err != nil {
-			return nil, err
-		}
-		specs := workload.Specs(profs, 32)
-		weights := make([]float64, len(profs))
-		for i, p := range profs {
-			w, err := h.aloneRate(p.Name, 32)
-			if err != nil {
-				return nil, err
-			}
-			weights[i] = w
 		}
 		for _, capW := range caps {
 			for _, v := range variants {
-				mixName, capW, v := mixName, capW, v
-				cells = append(cells, sweep.Cell[float64]{
-					Label: fmt.Sprintf("eas/%s/%s/%.0fW", v.label, mixName, capW),
-					Run: func(ctx context.Context) (float64, error) {
-						res, err := driver.RunContext(ctx, driver.Scenario{
-							Platform:    h.plat,
-							Specs:       specs,
-							CapWatts:    capW,
-							Controller:  v.ctrl(),
-							Duration:    h.cfg.Duration(TechPUPiL) + 30*1e9, // extra time for the pinning phase
-							Seed:        h.cfg.Seed ^ seedFor("eas", mixName, fmt.Sprintf("%.0f", capW)),
-							PerfWeights: weights,
-						})
-						if err != nil {
-							return 0, err
-						}
-						return metrics.WeightedSpeedup(res.SteadyRates, weights), nil
-					},
-				})
+				keys = append(keys, easKey{mix.Name, capW, v, specs, weights})
 			}
 		}
 	}
-	speedups, err := sweep.Run(ctx, cells, opts.sweep())
+	speedups, err := runGrid(ctx, opts, "EAS sweep", keys,
+		func(k easKey) string { return fmt.Sprintf("eas/%s/%s/%.0fW", k.variant, k.mix, k.capW) },
+		func(ctx context.Context, k easKey) (float64, error) {
+			var ctrl core.Controller = core.NewPUPiL(core.DefaultOrdered(h.plat))
+			if k.variant == "eas" {
+				ctrl = core.NewPUPiLEAS(core.DefaultOrdered(h.plat))
+			}
+			res, err := driver.RunContext(ctx, driver.Scenario{
+				Platform:    h.plat,
+				Specs:       k.specs,
+				CapWatts:    k.capW,
+				Controller:  ctrl,
+				Duration:    h.cfg.Duration(TechPUPiL) + 30*1e9, // extra time for the pinning phase
+				Seed:        h.cfg.Seed ^ seedFor("eas", k.mix, fmt.Sprintf("%.0f", k.capW)),
+				PerfWeights: k.weights,
+			})
+			if err != nil {
+				return 0, err
+			}
+			return metrics.WeightedSpeedup(res.SteadyRates, k.weights), nil
+		})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: EAS sweep: %w", err)
+		return nil, err
+	}
+	ws := map[string]map[float64]map[string]float64{}
+	for i, k := range keys {
+		put3(ws, k.mix, k.capW, k.variant, speedups[i])
 	}
 
-	// Assembly, in grid order.
 	cols := []string{"Mix"}
 	for _, capW := range caps {
 		cols = append(cols, fmt.Sprintf("PUPiL@%.0fW", capW), fmt.Sprintf("EAS@%.0fW", capW),
@@ -130,12 +100,10 @@ func ExtensionEASOpts(ctx context.Context, cfg Config, opts RunOpts) (*report.Ta
 	t := report.NewTable("Extension: PUPiL-EAS vs PUPiL weighted speedup (oblivious)", cols...)
 
 	gains := map[float64][]float64{}
-	i := 0
 	for _, mixName := range mixNames {
 		row := []string{mixName}
 		for _, capW := range caps {
-			pupilWS, easWS := speedups[i], speedups[i+1]
-			i += 2
+			pupilWS, easWS := ws[mixName][capW]["pupil"], ws[mixName][capW]["eas"]
 			gain := 0.0
 			if pupilWS > 0 {
 				gain = easWS / pupilWS

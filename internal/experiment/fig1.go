@@ -9,7 +9,6 @@ import (
 	"pupil/internal/machine"
 	"pupil/internal/report"
 	"pupil/internal/sim"
-	"pupil/internal/sweep"
 	"pupil/internal/workload"
 )
 
@@ -59,30 +58,24 @@ func Fig1Opts(ctx context.Context, cfg Config, opts RunOpts) (*Fig1Result, error
 		SteadyPerf: map[string]float64{},
 	}
 	techs := fig1Techs()
-	cells := make([]sweep.Cell[driver.Result], len(techs))
-	for i, tech := range techs {
-		tech := tech
-		cells[i] = sweep.Cell[driver.Result]{
-			Label: fmt.Sprintf("fig1/%s", tech),
-			Run: func(ctx context.Context) (driver.Result, error) {
-				ctrl, err := h.controller(tech)
-				if err != nil {
-					return driver.Result{}, err
-				}
-				return driver.RunContext(ctx, driver.Scenario{
-					Platform:   machine.E52690Server(),
-					Specs:      []workload.Spec{{Profile: prof, Threads: singleAppThreads}},
-					CapWatts:   out.CapWatts,
-					Controller: ctrl,
-					Duration:   dur,
-					Seed:       cfg.Seed ^ seedFor("fig1", tech),
-				})
-			},
-		}
-	}
-	results, err := sweep.Run(ctx, cells, opts.sweep())
+	results, err := runGrid(ctx, opts, "fig1", techs,
+		func(tech string) string { return fmt.Sprintf("fig1/%s", tech) },
+		func(ctx context.Context, tech string) (driver.Result, error) {
+			ctrl, err := h.controller(tech)
+			if err != nil {
+				return driver.Result{}, err
+			}
+			return driver.RunContext(ctx, driver.Scenario{
+				Platform:   machine.E52690Server(),
+				Specs:      []workload.Spec{{Profile: prof, Threads: singleAppThreads}},
+				CapWatts:   out.CapWatts,
+				Controller: ctrl,
+				Duration:   dur,
+				Seed:       cfg.Seed ^ seedFor("fig1", tech),
+			})
+		})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: fig1: %w", err)
+		return nil, err
 	}
 	for i, tech := range techs {
 		res := results[i]

@@ -5,11 +5,7 @@ import (
 	"fmt"
 
 	"pupil/internal/cluster"
-	"pupil/internal/core"
-	"pupil/internal/machine"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
-	"pupil/internal/workload"
 )
 
 // The hierarchy experiment pits the flat coordinator against rack- and
@@ -86,7 +82,11 @@ type HierarchyData struct {
 	Records      map[string]map[string]HierarchyRecord
 }
 
-// runHierarchyGrid executes the policy x arrangement grid.
+// runHierarchyGrid executes the policy x arrangement grid. A cell's seed
+// depends on the policy and node count but NOT the arrangement, so flat and
+// tree cells of one policy simulate literally the same machines under the
+// same workload phases; any divergence in the record is the hierarchy's
+// doing.
 func runHierarchyGrid(ctx context.Context, cfg Config, opts RunOpts) (*HierarchyData, error) {
 	arrs := hierarchyArrangements()
 	d := &HierarchyData{
@@ -98,102 +98,32 @@ func runHierarchyGrid(ctx context.Context, cfg Config, opts RunOpts) (*Hierarchy
 	for _, a := range arrs {
 		d.Arrangements = append(d.Arrangements, a.name)
 	}
-	var cells []sweep.Cell[HierarchyRecord]
+	type hierarchyKey struct {
+		policy string
+		arr    hierarchyArrangement
+	}
+	var keys []hierarchyKey
 	for _, pol := range d.Policies {
 		for _, a := range arrs {
-			pol, a := pol, a
-			cells = append(cells, sweep.Cell[HierarchyRecord]{
-				Label: fmt.Sprintf("hierarchy/%s/%s", pol, a.name),
-				Run: func(ctx context.Context) (HierarchyRecord, error) {
-					return runHierarchyCell(ctx, cfg, pol, a)
-				},
-			})
+			keys = append(keys, hierarchyKey{pol, a})
 		}
 	}
-	results, err := sweep.Run(ctx, cells, opts.sweep())
+	results, err := runGrid(ctx, opts, "hierarchy sweep", keys,
+		func(k hierarchyKey) string { return fmt.Sprintf("hierarchy/%s/%s", k.policy, k.arr.name) },
+		func(ctx context.Context, k hierarchyKey) (HierarchyRecord, error) {
+			run := clusterRamp(cfg, k.policy, d.Nodes, seedFor("hierarchy", k.policy, fmt.Sprintf("%d", d.Nodes)))
+			run.topology = k.arr.topo(d.Nodes)
+			res, err := runFleet(ctx, cfg, run)
+			return HierarchyRecord{Domains: res.domains, PhasePerf: res.phaseRate, PhasePower: res.phasePower,
+				MinShareFrac: res.minShare}, err
+		})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: hierarchy sweep: %w", err)
+		return nil, err
 	}
-	i := 0
-	for _, pol := range d.Policies {
-		d.Records[pol] = map[string]HierarchyRecord{}
-		for _, a := range arrs {
-			d.Records[pol][a.name] = results[i]
-			i++
-		}
+	for i, k := range keys {
+		put2(d.Records, k.policy, k.arr.name, results[i])
 	}
 	return d, nil
-}
-
-// runHierarchyCell drives one coordinator — one policy at one tree shape —
-// through the same budget ramp as the cluster experiment. The seed depends
-// on the policy and node count but NOT the arrangement, so flat and tree
-// cells of one policy simulate literally the same machines under the same
-// workload phases; any divergence in the record is the hierarchy's doing.
-func runHierarchyCell(ctx context.Context, cfg Config, policyName string, arr hierarchyArrangement) (HierarchyRecord, error) {
-	policy, err := cluster.PolicyByName(policyName)
-	if err != nil {
-		return HierarchyRecord{}, err
-	}
-	n := hierarchyNodes(cfg)
-	plat := machine.E52690Server()
-	specs := make([]cluster.NodeSpec, n)
-	for i := 0; i < n; i++ {
-		w := clusterWorkloads[i%len(clusterWorkloads)]
-		prof, err := workload.ByName(w.name)
-		if err != nil {
-			return HierarchyRecord{}, err
-		}
-		specs[i] = cluster.NodeSpec{
-			Name:     fmt.Sprintf("%s%d", w.name, i),
-			Platform: plat,
-			Specs:    []workload.Spec{{Profile: prof, Threads: w.threads}},
-			NewController: func(p *machine.Platform) core.Controller {
-				return core.NewPUPiL(core.DefaultOrdered(p))
-			},
-		}
-	}
-
-	budgets := clusterPhaseBudgets()
-	epoch := clusterEpoch(cfg)
-	perPhase := clusterEpochsPerPhase(cfg)
-	coord, err := cluster.NewCoordinator(cluster.Config{
-		Nodes:       specs,
-		BudgetWatts: budgets[0] * float64(n),
-		Epoch:       epoch,
-		Policy:      policy,
-		Seed:        cfg.Seed ^ seedFor("hierarchy", policyName, fmt.Sprintf("%d", n)),
-		Parallel:    1,
-		Topology:    arr.topo(n),
-	})
-	if err != nil {
-		return HierarchyRecord{}, err
-	}
-
-	rec := HierarchyRecord{Domains: coord.DomainCount(), MinShareFrac: 1}
-	for phase, perNode := range budgets {
-		budget := perNode * float64(n)
-		if phase > 0 {
-			if err := coord.SetBudget(budget); err != nil {
-				return HierarchyRecord{}, err
-			}
-		}
-		for e := 0; e < perPhase; e++ {
-			if err := coord.StepContext(ctx, epoch); err != nil {
-				return HierarchyRecord{}, err
-			}
-			fair := budget / float64(n)
-			for _, capW := range coord.Assignments() {
-				if frac := capW / fair; frac < rec.MinShareFrac {
-					rec.MinShareFrac = frac
-				}
-			}
-		}
-		sn := coord.Snapshot()
-		rec.PhasePerf = append(rec.PhasePerf, sn.TotalRate)
-		rec.PhasePower = append(rec.PhasePower, sn.TotalPower)
-	}
-	return rec, nil
 }
 
 // tableHierarchyFrom renders the flat-vs-tree comparison: per-phase cluster

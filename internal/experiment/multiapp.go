@@ -6,7 +6,6 @@ import (
 
 	"pupil/internal/metrics"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
 	"pupil/internal/workload"
 )
 
@@ -46,20 +45,24 @@ type MultiAppData struct {
 func multiAppTechs() []string { return []string{TechRAPL, TechPUPiL} }
 
 // MultiAppSweep runs (or returns the memoized) multi-application grid with
-// default execution options. See MultiAppSweepOpts for the sharing contract
-// on the returned data.
-func MultiAppSweep(cfg Config) (*MultiAppData, error) {
-	return MultiAppSweepOpts(context.Background(), cfg, RunOpts{})
-}
-
-// MultiAppSweepOpts runs (or returns the memoized) multi-application grid
-// on a bounded worker pool.
+// default execution options.
 //
 // The returned *MultiAppData is shared: every caller with the same Config
 // receives the same instance, so it must be treated as read-only. Results
 // are identical for a given Config at any parallelism.
-func MultiAppSweepOpts(ctx context.Context, cfg Config, opts RunOpts) (*MultiAppData, error) {
-	return multiGrid.get(ctx, cfg, opts)
+func MultiAppSweep(cfg Config) (*MultiAppData, error) {
+	return multiGrid.get(context.Background(), cfg, RunOpts{})
+}
+
+// multiKey is one cell of the multi-application grid, carrying its mix's
+// inputs at the scenario's thread count.
+type multiKey struct {
+	scenario string
+	mix      workload.Mix
+	capW     float64
+	tech     string
+	specs    []workload.Spec
+	weights  []float64
 }
 
 // runMultiAppSweep always executes the grid (no memo) in two stages: the
@@ -81,107 +84,45 @@ func runMultiAppSweep(ctx context.Context, cfg Config, opts RunOpts) (*MultiAppD
 		Records: map[string]map[string]map[float64]map[string]Record{},
 		Alone:   map[string]map[string]float64{},
 	}
-
-	// Stage 1: isolated rates for every unique (benchmark, thread count),
-	// deduplicated in first-appearance order.
-	type aloneKey struct {
-		name    string
-		threads int
-	}
-	var aloneCells []sweep.Cell[struct{}]
-	seen := map[aloneKey]bool{}
+	var threads []int
 	for _, scenario := range Scenarios() {
-		threads := scenarioThreads(scenario)
-		for _, mix := range d.Mixes {
-			for _, name := range mix.Names {
-				k := aloneKey{name, threads}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				aloneCells = append(aloneCells, sweep.Cell[struct{}]{
-					Label: fmt.Sprintf("alone/%s/%dt", k.name, k.threads),
-					Run: func(ctx context.Context) (struct{}, error) {
-						_, err := h.aloneRate(k.name, k.threads)
-						return struct{}{}, err
-					},
-				})
-			}
-		}
+		threads = append(threads, scenarioThreads(scenario))
 	}
-	if _, err := sweep.Run(ctx, aloneCells, opts.sweep()); err != nil {
-		return nil, fmt.Errorf("experiment: multi-app isolated rates: %w", err)
+	if err := h.warmAlone(ctx, opts, "multi-app isolated rates", d.Mixes, threads...); err != nil {
+		return nil, err
 	}
 
-	// Stage 2: the run grid. Weights now come from the warmed cache, so
-	// building a cell is cheap and cells stay independent.
-	type runKey struct {
-		scenario string
-		mix      workload.Mix
-		capW     float64
-		tech     string
-	}
-	var keys []runKey
-	var cells []sweep.Cell[Record]
+	var keys []multiKey
 	for _, scenario := range Scenarios() {
-		threads := scenarioThreads(scenario)
+		d.Records[scenario] = map[string]map[float64]map[string]Record{}
 		for _, mix := range d.Mixes {
-			profs, err := mix.Profiles()
+			specs, weights, err := h.mixInputs(mix, scenarioThreads(scenario))
 			if err != nil {
 				return nil, err
 			}
-			specs := workload.Specs(profs, threads)
-			weights := make([]float64, len(profs))
-			for i, p := range profs {
-				w, err := h.aloneRate(p.Name, threads)
-				if err != nil {
-					return nil, err
-				}
-				weights[i] = w
+			for i, name := range mix.Names {
+				put2(d.Alone, scenario, name, weights[i])
 			}
 			for _, capW := range d.Caps {
 				for _, tech := range multiAppTechs() {
-					scenario, mix, capW, tech := scenario, mix, capW, tech
-					keys = append(keys, runKey{scenario, mix, capW, tech})
-					cells = append(cells, sweep.Cell[Record]{
-						Label: fmt.Sprintf("%s/%s/%s/%.0fW", scenario, tech, mix.Name, capW),
-						Run: func(ctx context.Context) (Record, error) {
-							return h.run(ctx, tech, specs, capW, weights,
-								seedFor(scenario, tech, mix.Name, fmt.Sprintf("%.0f", capW)))
-						},
-					})
+					keys = append(keys, multiKey{scenario, mix, capW, tech, specs, weights})
 				}
 			}
 		}
 	}
-	records, err := sweep.Run(ctx, cells, opts.sweep())
+	records, err := runGrid(ctx, opts, "multi-app sweep", keys,
+		func(k multiKey) string {
+			return fmt.Sprintf("%s/%s/%s/%.0fW", k.scenario, k.tech, k.mix.Name, k.capW)
+		},
+		func(ctx context.Context, k multiKey) (Record, error) {
+			return h.run(ctx, k.tech, k.specs, k.capW, k.weights,
+				seedFor(k.scenario, k.tech, k.mix.Name, fmt.Sprintf("%.0f", k.capW)))
+		})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: multi-app sweep: %w", err)
-	}
-
-	// Assembly, in grid order.
-	for _, scenario := range Scenarios() {
-		threads := scenarioThreads(scenario)
-		d.Alone[scenario] = map[string]float64{}
-		d.Records[scenario] = map[string]map[float64]map[string]Record{}
-		for _, mix := range d.Mixes {
-			for _, name := range mix.Names {
-				w, err := h.aloneRate(name, threads)
-				if err != nil {
-					return nil, err
-				}
-				d.Alone[scenario][name] = w
-			}
-		}
+		return nil, err
 	}
 	for i, k := range keys {
-		if d.Records[k.scenario][k.tech] == nil {
-			d.Records[k.scenario][k.tech] = map[float64]map[string]Record{}
-		}
-		if d.Records[k.scenario][k.tech][k.capW] == nil {
-			d.Records[k.scenario][k.tech][k.capW] = map[string]Record{}
-		}
-		d.Records[k.scenario][k.tech][k.capW][k.mix.Name] = records[i]
+		put3(d.Records[k.scenario], k.tech, k.capW, k.mix.Name, records[i])
 	}
 	return d, nil
 }

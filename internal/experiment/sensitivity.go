@@ -10,9 +10,7 @@ import (
 	"pupil/internal/driver"
 	"pupil/internal/machine"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
 	"pupil/internal/telemetry"
-	"pupil/internal/workload"
 )
 
 // SensitivityRow is one noise level's outcome across caps.
@@ -22,12 +20,6 @@ type SensitivityRow struct {
 	Normalized map[float64]float64
 	// Violations indexes cap -> fraction of over-cap samples.
 	Violations map[float64]float64
-}
-
-// Sensitivity reproduces the spirit of the paper's sensitivity analysis
-// (Section 5.6) with default execution options.
-func Sensitivity(cfg Config) ([]SensitivityRow, *report.Table, error) {
-	return SensitivityOpts(context.Background(), cfg, RunOpts{})
 }
 
 // SensitivityOpts reproduces the sensitivity analysis (Section 5.6) on a
@@ -52,97 +44,73 @@ func SensitivityOpts(ctx context.Context, cfg Config, opts RunOpts) ([]Sensitivi
 	if cfg.Quick {
 		dur = 30 * time.Second
 	}
-
-	instances := func() ([]workload.Spec, []*workload.Instance, error) {
-		prof, err := workload.ByName("bodytrack")
-		if err != nil {
-			return nil, nil, err
-		}
-		specs := []workload.Spec{{Profile: prof, Threads: singleAppThreads}}
-		apps, err := workload.NewInstances(specs)
-		return specs, apps, err
-	}
+	const app = "bodytrack"
 
 	// Stage 1: the per-cap Optimal normalizations (level-independent).
-	optCells := make([]sweep.Cell[float64], len(caps))
-	for i, capW := range caps {
-		capW := capW
-		optCells[i] = sweep.Cell[float64]{
-			Label: fmt.Sprintf("optimal/%.0fW", capW),
-			Run: func(ctx context.Context) (float64, error) {
-				_, apps, err := instances()
-				if err != nil {
-					return 0, err
-				}
-				_, optEval, ok := control.OptimalSearch(plat, apps, capW, control.TotalRate)
-				if !ok {
-					return 0, fmt.Errorf("no feasible config at %.0f W", capW)
-				}
-				return optEval.TotalRate(), nil
-			},
-		}
-	}
-	optRates, err := sweep.Run(ctx, optCells, opts.sweep())
+	optRates, err := runGrid(ctx, opts, "sensitivity oracle", caps,
+		func(capW float64) string { return fmt.Sprintf("optimal/%.0fW", capW) },
+		func(_ context.Context, capW float64) (float64, error) {
+			_, apps, err := instances(app, singleAppThreads)
+			if err != nil {
+				return 0, err
+			}
+			_, optEval, ok := control.OptimalSearch(plat, apps, capW, control.TotalRate)
+			if !ok {
+				return 0, fmt.Errorf("no feasible config at %.0f W", capW)
+			}
+			return optEval.TotalRate(), nil
+		})
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: sensitivity oracle: %w", err)
+		return nil, nil, err
+	}
+	opt := map[float64]float64{}
+	for i, capW := range caps {
+		opt[capW] = optRates[i]
 	}
 
 	// Stage 2: one PUPiL run per noise level x cap.
-	type cellOut struct {
-		normalized float64
-		violations float64
+	type sensitivityKey struct {
+		level int
+		capW  float64
 	}
-	var cells []sweep.Cell[cellOut]
-	for _, lv := range levels {
-		lv := lv
-		for i, capW := range caps {
-			i, capW := i, capW
-			cells = append(cells, sweep.Cell[cellOut]{
-				Label: fmt.Sprintf("sensitivity/%s/%.0fW", lv.label, capW),
-				Run: func(ctx context.Context) (cellOut, error) {
-					specs, _, err := instances()
-					if err != nil {
-						return cellOut{}, err
-					}
-					res, err := driver.RunContext(ctx, driver.Scenario{
-						Platform:   plat,
-						Specs:      specs,
-						CapWatts:   capW,
-						Controller: core.NewPUPiL(core.DefaultOrdered(plat)),
-						Duration:   dur,
-						Seed:       cfg.Seed ^ seedFor("sensitivity", lv.label, fmt.Sprintf("%.0f", capW)),
-						PerfNoise:  lv.noise,
-					})
-					if err != nil {
-						return cellOut{}, err
-					}
-					return cellOut{
-						normalized: res.SteadyTotal() / optRates[i],
-						violations: res.ViolationFrac,
-					}, nil
-				},
-			})
-		}
-	}
-	results, err := sweep.Run(ctx, cells, opts.sweep())
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: sensitivity sweep: %w", err)
-	}
-
-	var rows []SensitivityRow
-	idx := 0
-	for _, lv := range levels {
-		row := SensitivityRow{
-			Label:      lv.label,
-			Normalized: map[float64]float64{},
-			Violations: map[float64]float64{},
-		}
+	rows := make([]SensitivityRow, len(levels))
+	var keys []sensitivityKey
+	for i, lv := range levels {
+		rows[i] = SensitivityRow{Label: lv.label, Normalized: map[float64]float64{}, Violations: map[float64]float64{}}
 		for _, capW := range caps {
-			row.Normalized[capW] = results[idx].normalized
-			row.Violations[capW] = results[idx].violations
-			idx++
+			keys = append(keys, sensitivityKey{i, capW})
 		}
-		rows = append(rows, row)
+	}
+	type cellOut struct{ normalized, violations float64 }
+	results, err := runGrid(ctx, opts, "sensitivity sweep", keys,
+		func(k sensitivityKey) string {
+			return fmt.Sprintf("sensitivity/%s/%.0fW", levels[k.level].label, k.capW)
+		},
+		func(ctx context.Context, k sensitivityKey) (cellOut, error) {
+			specs, _, err := instances(app, singleAppThreads)
+			if err != nil {
+				return cellOut{}, err
+			}
+			res, err := driver.RunContext(ctx, driver.Scenario{
+				Platform:   plat,
+				Specs:      specs,
+				CapWatts:   k.capW,
+				Controller: core.NewPUPiL(core.DefaultOrdered(plat)),
+				Duration:   dur,
+				Seed:       cfg.Seed ^ seedFor("sensitivity", levels[k.level].label, fmt.Sprintf("%.0f", k.capW)),
+				PerfNoise:  levels[k.level].noise,
+			})
+			if err != nil {
+				return cellOut{}, err
+			}
+			return cellOut{res.SteadyTotal() / opt[k.capW], res.ViolationFrac}, nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, k := range keys {
+		rows[k.level].Normalized[k.capW] = results[i].normalized
+		rows[k.level].Violations[k.capW] = results[i].violations
 	}
 
 	cols := []string{"Perf sensor noise"}

@@ -9,7 +9,6 @@ import (
 	"pupil/internal/machine"
 	"pupil/internal/metrics"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
 	"pupil/internal/system"
 )
 
@@ -55,10 +54,27 @@ func SingleAppSweepOpts(ctx context.Context, cfg Config, opts RunOpts) (*SingleA
 	return singleGrid.get(ctx, cfg, opts)
 }
 
+// singleKey is one cell of the single-application grid: a technique run,
+// or with an empty tech the Optimal oracle search, or with a zero cap the
+// uncapped characterization.
+type singleKey struct {
+	app  string
+	capW float64
+	tech string
+}
+
+// singleOut holds exactly one of a single-application cell's results.
+type singleOut struct {
+	rec     Record
+	optCfg  machine.Config
+	optRate float64
+	optPow  float64
+	eval    system.Eval
+}
+
 // runSingleAppSweep always executes the grid (no memo): one cell per
 // benchmark characterization, one per Optimal oracle search, and one per
-// technique run — assembled in cell order so the result is independent of
-// scheduling.
+// technique run.
 func runSingleAppSweep(ctx context.Context, cfg Config, opts RunOpts) (*SingleAppData, error) {
 	h, err := newHarness(cfg)
 	if err != nil {
@@ -74,109 +90,65 @@ func runSingleAppSweep(ctx context.Context, cfg Config, opts RunOpts) (*SingleAp
 		OptimalConfig: map[float64]map[string]machine.Config{},
 		Uncapped:      map[string]system.Eval{},
 	}
-
-	// A cell yields exactly one of: an uncapped characterization, an
-	// oracle result, or a technique record; assembly below consumes them
-	// positionally.
-	type cellOut struct {
-		rec     Record
-		optCfg  machine.Config
-		optRate float64
-		optPow  float64
-		eval    system.Eval
-	}
-	var cells []sweep.Cell[cellOut]
+	var keys []singleKey
 	for _, app := range d.Apps {
-		app := app
-		cells = append(cells, sweep.Cell[cellOut]{
-			Label: "uncapped/" + app,
-			Run: func(ctx context.Context) (cellOut, error) {
-				_, apps, err := h.instances(app, singleAppThreads)
-				if err != nil {
-					return cellOut{}, err
-				}
-				return cellOut{eval: system.Evaluate(h.plat, machine.MaxConfig(h.plat), apps, 0)}, nil
-			},
-		})
+		keys = append(keys, singleKey{app: app})
 		for _, capW := range d.Caps {
-			capW := capW
-			cells = append(cells, sweep.Cell[cellOut]{
-				Label: fmt.Sprintf("optimal/%s/%.0fW", app, capW),
-				Run: func(ctx context.Context) (cellOut, error) {
-					_, apps, err := h.instances(app, singleAppThreads)
-					if err != nil {
-						return cellOut{}, err
-					}
-					optCfg, optEval, ok := control.OptimalSearch(h.plat, apps, capW, control.TotalRate)
-					if !ok {
-						return cellOut{}, fmt.Errorf("no feasible config for %s at %.0f W", app, capW)
-					}
-					return cellOut{optCfg: optCfg, optRate: optEval.TotalRate(), optPow: optEval.PowerTotal}, nil
-				},
-			})
+			keys = append(keys, singleKey{app: app, capW: capW})
 			for _, tech := range Techniques() {
-				tech := tech
-				cells = append(cells, sweep.Cell[cellOut]{
-					Label: fmt.Sprintf("%s/%s/%.0fW", tech, app, capW),
-					Run: func(ctx context.Context) (cellOut, error) {
-						specs, _, err := h.instances(app, singleAppThreads)
-						if err != nil {
-							return cellOut{}, err
-						}
-						rec, err := h.run(ctx, tech, specs, capW, nil,
-							seedFor(tech, app, fmt.Sprintf("%.0f", capW)))
-						return cellOut{rec: rec}, err
-					},
-				})
+				keys = append(keys, singleKey{app, capW, tech})
 			}
 		}
 	}
-
-	results, err := sweep.Run(ctx, cells, opts.sweep())
+	results, err := runGrid(ctx, opts, "single-app sweep", keys, singleKey.label, h.runSingleCell)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: single-app sweep: %w", err)
+		return nil, err
 	}
-
-	i := 0
-	for _, app := range d.Apps {
-		d.Uncapped[app] = results[i].eval
-		i++
-		for _, capW := range d.Caps {
-			putF(d.OptimalRate, capW, app, results[i].optRate)
-			putF(d.OptimalPower, capW, app, results[i].optPow)
-			putC(d.OptimalConfig, capW, app, results[i].optCfg)
-			i++
-			for _, tech := range Techniques() {
-				putR(d.Records, tech, capW, app, results[i].rec)
-				i++
-			}
+	for i, k := range keys {
+		r := results[i]
+		switch {
+		case k.capW == 0:
+			d.Uncapped[k.app] = r.eval
+		case k.tech == "":
+			put2(d.OptimalRate, k.capW, k.app, r.optRate)
+			put2(d.OptimalPower, k.capW, k.app, r.optPow)
+			put2(d.OptimalConfig, k.capW, k.app, r.optCfg)
+		default:
+			put3(d.Records, k.tech, k.capW, k.app, r.rec)
 		}
 	}
 	return d, nil
 }
 
-func putF(m map[float64]map[string]float64, capW float64, app string, v float64) {
-	if m[capW] == nil {
-		m[capW] = map[string]float64{}
+// label names the cell in progress reports and errors.
+func (k singleKey) label() string {
+	switch {
+	case k.capW == 0:
+		return "uncapped/" + k.app
+	case k.tech == "":
+		return fmt.Sprintf("optimal/%s/%.0fW", k.app, k.capW)
 	}
-	m[capW][app] = v
+	return fmt.Sprintf("%s/%s/%.0fW", k.tech, k.app, k.capW)
 }
 
-func putR(m map[string]map[float64]map[string]Record, tech string, capW float64, app string, r Record) {
-	if m[tech] == nil {
-		m[tech] = map[float64]map[string]Record{}
+// runSingleCell computes one cell of the single-application grid.
+func (h *harness) runSingleCell(ctx context.Context, k singleKey) (singleOut, error) {
+	specs, apps, err := instances(k.app, singleAppThreads)
+	if err != nil {
+		return singleOut{}, err
 	}
-	if m[tech][capW] == nil {
-		m[tech][capW] = map[string]Record{}
+	switch {
+	case k.capW == 0:
+		return singleOut{eval: system.Evaluate(h.plat, machine.MaxConfig(h.plat), apps, 0)}, nil
+	case k.tech == "":
+		optCfg, optEval, ok := control.OptimalSearch(h.plat, apps, k.capW, control.TotalRate)
+		if !ok {
+			return singleOut{}, fmt.Errorf("no feasible config for %s at %.0f W", k.app, k.capW)
+		}
+		return singleOut{optCfg: optCfg, optRate: optEval.TotalRate(), optPow: optEval.PowerTotal}, nil
 	}
-	m[tech][capW][app] = r
-}
-
-func putC(m map[float64]map[string]machine.Config, capW float64, app string, c machine.Config) {
-	if m[capW] == nil {
-		m[capW] = map[string]machine.Config{}
-	}
-	m[capW][app] = c
+	rec, err := h.run(ctx, k.tech, specs, k.capW, nil, seedFor(k.tech, k.app, fmt.Sprintf("%.0f", k.capW)))
+	return singleOut{rec: rec}, err
 }
 
 // Normalized returns a technique's steady performance normalized to

@@ -10,7 +10,6 @@ import (
 	"pupil/internal/driver"
 	"pupil/internal/machine"
 	"pupil/internal/report"
-	"pupil/internal/sweep"
 	"pupil/internal/workload"
 )
 
@@ -139,34 +138,29 @@ func runThermal(ctx context.Context, cfg Config, opts RunOpts, techs []string, e
 		d.Envs = append(d.Envs, e.name)
 	}
 
-	var cells []sweep.Cell[ThermalRecord]
+	type thermalKey struct {
+		tech string
+		env  thermalEnv
+		mode string
+	}
+	var keys []thermalKey
 	for _, tech := range techs {
 		for _, e := range envs {
 			for _, mode := range d.Modes {
-				tech, e, mode := tech, e, mode
-				cells = append(cells, sweep.Cell[ThermalRecord]{
-					Label: fmt.Sprintf("thermal/%s/%s/%s", tech, e.name, mode),
-					Run: func(ctx context.Context) (ThermalRecord, error) {
-						return runThermalCell(ctx, cfg, tech, e, mode)
-					},
-				})
+				keys = append(keys, thermalKey{tech, e, mode})
 			}
 		}
 	}
-	results, err := sweep.Run(ctx, cells, opts.sweep())
+	results, err := runGrid(ctx, opts, "thermal sweep", keys,
+		func(k thermalKey) string { return fmt.Sprintf("thermal/%s/%s/%s", k.tech, k.env.name, k.mode) },
+		func(ctx context.Context, k thermalKey) (ThermalRecord, error) {
+			return runThermalCell(ctx, cfg, k.tech, k.env, k.mode)
+		})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: thermal sweep: %w", err)
+		return nil, err
 	}
-	i := 0
-	for _, tech := range techs {
-		d.Records[tech] = map[string]map[string]ThermalRecord{}
-		for _, e := range envs {
-			d.Records[tech][e.name] = map[string]ThermalRecord{}
-			for _, mode := range d.Modes {
-				d.Records[tech][e.name][mode] = results[i]
-				i++
-			}
-		}
+	for i, k := range keys {
+		put3(d.Records, k.tech, k.env.name, k.mode, results[i])
 	}
 	return d, nil
 }
