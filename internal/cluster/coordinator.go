@@ -265,33 +265,29 @@ func (c *Coordinator) SetBudget(watts float64) error {
 	}
 	c.budget = watts
 	c.root.budget = watts
-	if c.hier {
-		// Top-down: each interior domain rescales its children's current
-		// budgets to its own new budget, floors respected; the leaves then
-		// rescale their member nodes the same way.
-		for _, d := range c.domains {
-			if d.leaf() {
-				continue
-			}
-			for j, ch := range d.children {
-				d.childBudget[j] = ch.budget
-			}
-			normalizeFloors(d.childBudget, d.budget, d.childFloor)
-			for j, ch := range d.children {
-				ch.budget = d.childBudget[j]
-			}
+	// Top-down: each interior domain rescales its children's current
+	// budgets to its own new budget, floors respected; the leaves then
+	// rescale their member nodes the same way. A flat cluster's one
+	// domain is a root leaf over every node.
+	for _, d := range c.domains {
+		if d.leaf() {
+			continue
 		}
-		for _, d := range c.domains {
-			if !d.leaf() {
-				continue
-			}
-			copy(c.next[d.lo:d.hi], c.assigned[d.lo:d.hi])
-			normalize(c.next[d.lo:d.hi], d.budget, c.floor)
+		for j, ch := range d.children {
+			d.childBudget[j] = ch.budget
 		}
-		return c.apply(c.next)
+		normalizeFloors(d.childBudget, d.budget, d.childFloor)
+		for j, ch := range d.children {
+			ch.budget = d.childBudget[j]
+		}
 	}
-	copy(c.next, c.assigned)
-	normalize(c.next, c.budget, c.floor)
+	for _, d := range c.domains {
+		if !d.leaf() {
+			continue
+		}
+		copy(c.next[d.lo:d.hi], c.assigned[d.lo:d.hi])
+		normalize(c.next[d.lo:d.hi], d.budget, c.floor)
+	}
 	return c.apply(c.next)
 }
 

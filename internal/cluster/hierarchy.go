@@ -186,24 +186,25 @@ func seedFloors(domains []*domain, floor float64) {
 	}
 }
 
-// DomainSnapshot is one budget domain's slice of a cluster Snapshot.
+// DomainSnapshot is one budget domain's slice of a cluster Snapshot. Its
+// JSON form is pupild's view of the domain.
 type DomainSnapshot struct {
 	// Name identifies the domain ("dc", "row0", "rack3"); Level is its
 	// tier and Parent its enclosing domain's name ("" for the root).
-	Name   string
-	Level  string
-	Parent string
+	Name   string `json:"name"`
+	Level  string `json:"level"`
+	Parent string `json:"parent,omitempty"`
+	// Nodes is how many cluster nodes the domain covers.
+	Nodes int `json:"nodes"`
 	// BudgetWatts is the budget currently delegated to the domain; child
 	// domain budgets always sum to their parent's after a rebalance.
-	BudgetWatts float64
+	BudgetWatts float64 `json:"budget_watts"`
 	// MeanPowerWatts sums the member nodes' trailing-epoch mean power.
-	MeanPowerWatts float64
-	// Nodes is how many cluster nodes the domain covers.
-	Nodes int
+	MeanPowerWatts float64 `json:"mean_power_watts"`
 	// FairShareMin is the domain's fairness figure: the minimum, over its
 	// member nodes, of the node's assigned cap divided by the domain's
 	// fair (even) per-node share. 1.0 means a perfectly even split.
-	FairShareMin float64
+	FairShareMin float64 `json:"fair_share_min"`
 }
 
 // normalizeFloors rescales an assignment to sum to budget while respecting

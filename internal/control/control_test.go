@@ -1,7 +1,6 @@
 package control
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -260,13 +259,5 @@ func TestOptimalSearchInfeasible(t *testing.T) {
 	apps, _ := workload.NewInstances([]workload.Spec{{Profile: prof, Threads: 32}})
 	if _, _, ok := OptimalSearch(p, apps, 5, TotalRate); ok {
 		t.Error("OptimalSearch found a config under 5 W")
-	}
-}
-
-func TestWeightedSpeedupObjective(t *testing.T) {
-	obj := WeightedSpeedupObjective([]float64{10, 5})
-	ev := system.Eval{Rates: []float64{5, 5}}
-	if got := obj(ev); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("weighted objective = %g, want 1.5", got)
 	}
 }

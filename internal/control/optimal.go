@@ -12,20 +12,6 @@ type Objective func(system.Eval) float64
 // TotalRate is the single-application objective: aggregate work rate.
 func TotalRate(ev system.Eval) float64 { return ev.TotalRate() }
 
-// WeightedSpeedupObjective returns the multi-application objective: each
-// app's rate weighted by its isolated rate (Section 4.3.2).
-func WeightedSpeedupObjective(alone []float64) Objective {
-	return func(ev system.Eval) float64 {
-		ws := 0.0
-		for i, r := range ev.Rates {
-			if i < len(alone) && alone[i] > 0 {
-				ws += r / alone[i]
-			}
-		}
-		return ws
-	}
-}
-
 // OptimalSearch is the paper's Optimal point of comparison: run the
 // workload in every user-accessible configuration, discard those whose
 // steady-state power exceeds the cap, and return the best performer. It is

@@ -156,20 +156,14 @@ func newHarness(cfg Config) (*harness, error) {
 // controller is constructed from scratch, so two concurrent runs never
 // share controller state.
 func (h *harness) controller(tech string) (core.Controller, error) {
-	switch tech {
-	case TechRAPL:
-		return control.NewRAPLOnly(), nil
-	case TechSoftDVFS:
-		return control.NewSoftDVFS(), nil
-	case TechSoftModeling:
+	if tech == TechSoftModeling {
 		return h.softModel.Clone(), nil
-	case TechSoftDecision:
-		return core.NewSoftDecision(core.DefaultOrdered(h.plat)), nil
-	case TechPUPiL:
-		return core.NewPUPiL(core.DefaultOrdered(h.plat)), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown technique %q", tech)
 	}
+	ctrl, err := control.New(tech, h.plat)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	return ctrl, nil
 }
 
 // run executes one capped scenario.

@@ -297,7 +297,7 @@ func TestFullTiltPowerEnvelope(t *testing.T) {
 func TestIdlePowerBelowBusyPower(t *testing.T) {
 	p := E52690Server()
 	c := MaxConfig(p)
-	idle := p.IdlePower(c)
+	idle, _ := p.Power(c, make([]SocketLoad, p.Sockets))
 	loads := make([]SocketLoad, p.Sockets)
 	for s := range loads {
 		loads[s] = SocketLoad{BusyCores: 8}

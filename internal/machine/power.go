@@ -166,10 +166,3 @@ func (p *Platform) PowerInto(perSocket []float64, c Config, loads []SocketLoad) 
 	}
 	return total
 }
-
-// IdlePower returns the machine's power with every active core idle, the
-// floor any capping system can reach without parking sockets.
-func (p *Platform) IdlePower(c Config) float64 {
-	total, _ := p.Power(c, make([]SocketLoad, p.Sockets))
-	return total
-}

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // RaceEnabled reports whether the race detector instruments this build.
@@ -108,14 +107,6 @@ func (r LoadReport) Endpoint(class string) (LoadMetric, bool) {
 		}
 	}
 	return LoadMetric{}, false
-}
-
-// SortEndpoints orders the endpoint metrics by class name, the artifact's
-// canonical order.
-func (r *LoadReport) SortEndpoints() {
-	sort.Slice(r.Endpoints, func(i, j int) bool {
-		return r.Endpoints[i].Class < r.Endpoints[j].Class
-	})
 }
 
 // WriteLoadFile renders the report as indented JSON (trailing newline,

@@ -285,20 +285,13 @@ func Spin(p workload.Profile, parEff, oversub, fRel float64, spanning bool) Spin
 	}
 }
 
-// SpinSteal returns the fraction of system core-time lost to spin cycles,
-// and each app's contribution, given each app's spin state and core
-// allocation. Under oversubscription these stolen cycles would otherwise
-// have run other apps' threads; the caller reduces other apps' capacity
-// accordingly (an app's own spin cost is already captured by its
-// serial-phase dilation, so it is not charged twice).
-func SpinSteal(spins []SpinState, coreAlloc []float64, totalCores float64, apps []*workload.Instance) (total float64, perApp []float64) {
-	perApp = make([]float64, len(spins))
-	total = SpinStealInto(perApp, spins, coreAlloc, totalCores, apps)
-	return total, perApp
-}
-
-// SpinStealInto is SpinSteal writing per-app contributions into caller-owned
-// storage (length must match spins).
+// SpinStealInto returns the fraction of system core-time lost to spin
+// cycles, and writes each app's contribution into perApp (length must
+// match spins), given each app's spin state and core allocation. Under
+// oversubscription these stolen cycles would otherwise have run other
+// apps' threads; the caller reduces other apps' capacity accordingly (an
+// app's own spin cost is already captured by its serial-phase dilation, so
+// it is not charged twice).
 func SpinStealInto(perApp []float64, spins []SpinState, coreAlloc []float64, totalCores float64, apps []*workload.Instance) (total float64) {
 	if len(perApp) != len(spins) {
 		panic("sched: SpinStealInto storage length mismatch")

@@ -206,12 +206,13 @@ func TestSpinBounded(t *testing.T) {
 func TestSpinStealAggregates(t *testing.T) {
 	apps := mkApps(t, []string{"kmeans", "jacobi"}, 32)
 	spins := []SpinState{{Frac: 0.5, RateMult: 0.5}, {}}
-	steal, perApp := SpinSteal(spins, []float64{8, 8}, 16, apps)
+	perApp := make([]float64, len(spins))
+	steal := SpinStealInto(perApp, spins, []float64{8, 8}, 16, apps)
 	// kmeans occupies half the cores, spins half the time, 31/32 of its
 	// threads spin.
 	want := 0.5 * 0.5 * 31.0 / 32.0
 	if math.Abs(steal-want) > 1e-9 {
-		t.Errorf("SpinSteal = %g, want %g", steal, want)
+		t.Errorf("SpinStealInto = %g, want %g", steal, want)
 	}
 	if math.Abs(perApp[0]-want) > 1e-9 || perApp[1] != 0 {
 		t.Errorf("per-app steal = %v, want [%g 0]", perApp, want)
@@ -220,8 +221,8 @@ func TestSpinStealAggregates(t *testing.T) {
 
 func TestSpinStealZeroWithoutSpinners(t *testing.T) {
 	apps := mkApps(t, []string{"jacobi", "cfd"}, 8)
-	steal, _ := SpinSteal([]SpinState{{}, {}}, []float64{8, 8}, 16, apps)
+	steal := SpinStealInto(make([]float64, 2), []SpinState{{}, {}}, []float64{8, 8}, 16, apps)
 	if steal != 0 {
-		t.Errorf("SpinSteal = %g, want 0", steal)
+		t.Errorf("SpinStealInto = %g, want 0", steal)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pupil/internal/cluster"
+	"pupil/internal/control"
 	"pupil/internal/core"
 	"pupil/internal/faults"
 	"pupil/internal/machine"
@@ -158,22 +159,8 @@ type ClusterNodeStatus struct {
 }
 
 // ClusterDomainStatus is the API view of one budget domain of a
-// hierarchical cluster.
-type ClusterDomainStatus struct {
-	Name   string `json:"name"`
-	Level  string `json:"level"`
-	Parent string `json:"parent,omitempty"`
-	// Nodes counts the cluster nodes the domain covers.
-	Nodes int `json:"nodes"`
-	// BudgetWatts is the budget currently delegated to the domain; child
-	// budgets always sum to their parent's.
-	BudgetWatts float64 `json:"budget_watts"`
-	// MeanPowerWatts sums the member nodes' trailing-epoch mean power.
-	MeanPowerWatts float64 `json:"mean_power_watts"`
-	// FairShareMin is the minimum, over member nodes, of cap / fair even
-	// share — 1.0 means a perfectly even split inside the domain.
-	FairShareMin float64 `json:"fair_share_min"`
-}
+// hierarchical cluster: the coordinator's own snapshot, served as is.
+type ClusterDomainStatus = cluster.DomainSnapshot
 
 // ClusterStatus is the API view of a cluster.
 type ClusterStatus struct {
@@ -241,24 +228,6 @@ type ClusterSample struct {
 func (s ClusterSample) withDropped(n uint64) ClusterSample {
 	s.Dropped = n
 	return s
-}
-
-// domainStatusesInto appends the converted coordinator domain snapshots to
-// dst, so the epoch loop can reuse one buffer instead of allocating per
-// epoch.
-func domainStatusesInto(dst []ClusterDomainStatus, ds []cluster.DomainSnapshot) []ClusterDomainStatus {
-	for _, d := range ds {
-		dst = append(dst, ClusterDomainStatus{
-			Name:           d.Name,
-			Level:          d.Level,
-			Parent:         d.Parent,
-			Nodes:          d.Nodes,
-			BudgetWatts:    d.BudgetWatts,
-			MeanPowerWatts: d.MeanPowerWatts,
-			FairShareMin:   d.FairShareMin,
-		})
-	}
-	return dst
 }
 
 // ClusterFaultEvent is the API view of one cluster fault transition —
@@ -497,7 +466,10 @@ func (c *Cluster) step(epoch uint64) (ClusterSample, time.Duration, error) {
 		pow = append(pow, ns.MeanPower)
 	}
 	c.capsBuf, c.powerBuf = caps, pow
-	doms := domainStatusesInto(c.domBuf[:0], sn.Domains)
+	// A copy, not an alias of lastSnap.Domains: families reads the sample
+	// after the tick lock is released, while a concurrent SetBudget
+	// re-snapshots into lastSnap under that lock.
+	doms := append(c.domBuf[:0], sn.Domains...)
 	c.domBuf = doms
 	smp := ClusterSample{
 		Cluster:         c.id,
@@ -554,7 +526,7 @@ func (c *Cluster) publish() {
 	st.BudgetWatts = sn.Budget
 	st.TotalPowerWatts = sn.TotalPower
 	st.TotalPerfHBs = sn.TotalRate
-	st.Domains = domainStatusesInto(st.Domains[:0], sn.Domains)
+	st.Domains = append(st.Domains[:0], sn.Domains...)
 	st.Quarantined = sn.Quarantined
 	st.ReclaimedWatts = sn.ReclaimedWatts
 	nodes := st.Nodes[:0]
@@ -694,10 +666,11 @@ func buildCluster(cfg ClusterConfig) (*Cluster, error) {
 		if tech == "" {
 			tech = "PUPiL"
 		}
-		// Validate the technique now so a bad name fails the create, not
-		// the coordinator's deferred constructor call.
-		if _, err := newController(tech, plat); err != nil {
-			return nil, err
+		// Build the controller now so a bad name fails the create; the
+		// coordinator's one constructor call hands this instance over.
+		ctrl, err := control.New(tech, plat)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		wl, err := resolveWorkloads(NodeConfig{Mix: nc.Mix, Workloads: nc.Workloads}, plat)
 		if err != nil {
@@ -715,16 +688,10 @@ func buildCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.nodeNames = append(c.nodeNames, name)
 		c.nodeApps = append(c.nodeApps, apps)
 		specs[i] = cluster.NodeSpec{
-			Name:     name,
-			Platform: plat,
-			Specs:    wl,
-			NewController: func(p *machine.Platform) core.Controller {
-				ctrl, err := newController(tech, p)
-				if err != nil {
-					panic(err) // validated above; unreachable
-				}
-				return ctrl
-			},
+			Name:          name,
+			Platform:      plat,
+			Specs:         wl,
+			NewController: func(*machine.Platform) core.Controller { return ctrl },
 		}
 	}
 

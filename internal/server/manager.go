@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"pupil/internal/control"
-	"pupil/internal/core"
 	"pupil/internal/driver"
 	"pupil/internal/faults"
 	"pupil/internal/machine"
@@ -32,15 +31,17 @@ import (
 
 // Errors the HTTP layer maps to status codes.
 var (
-	// ErrNotFound reports an unknown node ID.
-	ErrNotFound = errors.New("server: node not found")
-	// ErrBadConfig reports an invalid node configuration.
-	ErrBadConfig = errors.New("server: bad node config")
+	// ErrNotFound reports an unknown node or cluster ID, or an unknown
+	// node index or budget domain of a cluster.
+	ErrNotFound = errors.New("server: not found")
+	// ErrBadConfig reports an invalid request to either kind: a malformed
+	// body, configuration or query parameter.
+	ErrBadConfig = errors.New("server: bad request")
 	// ErrClosed reports an operation on a closed manager.
 	ErrClosed = errors.New("server: manager closed")
-	// ErrNotRunning reports a mutation on a node whose tick loop has ended
-	// (done, stopped, or failed).
-	ErrNotRunning = errors.New("server: node not running")
+	// ErrNotRunning reports a mutation on a node or cluster whose tick
+	// loop has ended (done, stopped, or failed).
+	ErrNotRunning = errors.New("server: not running")
 )
 
 // Defaults for node tick pacing.
@@ -569,9 +570,9 @@ func buildSession(cfg NodeConfig) (*driver.Session, NodeConfig, []string, error)
 	if cfg.Technique == "" {
 		cfg.Technique = "PUPiL"
 	}
-	ctrl, err := newController(cfg.Technique, plat)
+	ctrl, err := control.New(cfg.Technique, plat)
 	if err != nil {
-		return nil, cfg, nil, err
+		return nil, cfg, nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	specs, err := resolveWorkloads(cfg, plat)
 	if err != nil {
@@ -614,26 +615,6 @@ func platformByName(name string) (*machine.Platform, error) {
 		return machine.E52690ThermalServer(), nil
 	}
 	return nil, fmt.Errorf("%w: unknown platform %q (want server, mobile, or thermal)", ErrBadConfig, name)
-}
-
-// newController mirrors the public API's technique table against the
-// internal packages (the server cannot import the root package).
-func newController(technique string, p *machine.Platform) (core.Controller, error) {
-	switch technique {
-	case "RAPL":
-		return control.NewRAPLOnly(), nil
-	case "Soft-DVFS":
-		return control.NewSoftDVFS(), nil
-	case "Soft-Modeling":
-		return control.TrainSoftModeling(p, 1)
-	case "Soft-Decision":
-		return core.NewSoftDecision(core.DefaultOrdered(p)), nil
-	case "PUPiL":
-		return core.NewPUPiL(core.DefaultOrdered(p)), nil
-	case "PUPiL-EAS":
-		return core.NewPUPiLEAS(core.DefaultOrdered(p)), nil
-	}
-	return nil, fmt.Errorf("%w: unknown technique %q", ErrBadConfig, technique)
 }
 
 func resolveWorkloads(cfg NodeConfig, p *machine.Platform) ([]workload.Spec, error) {
