@@ -40,8 +40,8 @@ artifacts-check:
 
 # bench runs the hot-path suite (tick, session-advance, sweep-cell,
 # server-tick, cluster-epoch flat and at 100 hierarchical nodes) best-of-3
-# and gates it against the committed baseline: >10% time/op growth or any
-# allocs/op growth past the slack fails.
+# and gates it against the committed baseline: >10% time/op growth, any
+# allocs/op growth past the slack, or B/op growth past 25% + 1 KB fails.
 bench:
 	$(GO) run ./cmd/bench -baseline BENCH_tick.json
 

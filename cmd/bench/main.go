@@ -10,9 +10,9 @@
 //	bench -short -baseline BENCH_tick.json -out artifact.json   # the CI gate
 //
 // The gate fails (exit 1) when any suite benchmark's time/op regresses past
-// -threshold, or its allocs/op grows past the (tighter) allocation slack —
-// and a benchmark whose baseline is allocation-free must stay
-// allocation-free, with no slack at all.
+// -threshold, its allocs/op grows past the (tighter) allocation slack — and
+// a benchmark whose baseline is allocation-free must stay allocation-free,
+// with no slack at all — or its bytes/op grows past 25% plus 1 KB.
 package main
 
 import (
@@ -100,7 +100,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("no regressions against %s (time/op threshold %.0f%%, allocs/op slack %.0f%%)\n",
-			*baseline, *threshold*100, perf.AllocSlack*100)
+		fmt.Printf("no regressions against %s (time/op threshold %.0f%%, allocs/op slack %.0f%%, B/op slack %.0f%% + %d B)\n",
+			*baseline, *threshold*100, perf.AllocSlack*100, perf.BytesSlack*100, perf.BytesSlackFloor)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"pupil/internal/core"
-	"pupil/internal/driver"
 	"pupil/internal/machine"
 	"pupil/internal/workload"
 )
@@ -67,7 +66,6 @@ type NodeResult struct {
 	FinalCap  float64
 	MeanPower float64
 	MeanRate  float64
-	Result    driver.Result
 }
 
 // Result is a cluster run's outcome.

@@ -32,6 +32,10 @@ type Coordinator struct {
 	budget   float64
 	floor    float64
 	now      time.Duration
+	// retained is the trailing window every session keeps: the longest
+	// span the coordinator reads back, which is the configured epoch or the
+	// longest step taken, whichever is greater.
+	retained time.Duration
 
 	// Budget-domain tree (single root domain when flat).
 	root        *domain
@@ -154,8 +158,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", spec.Name, err)
 		}
+		// The coordinator reads each session only through trailing means
+		// over one step or one epoch, so sessions keep only that window.
+		s.Retain(cfg.Epoch)
 		c.sessions[i] = s
 	}
+	c.retained = cfg.Epoch
 	// Seed the domain budgets from the even initial split — exact
 	// per-node-share multiples, so children sum to their parents — and the
 	// per-child fairness floors.
@@ -341,6 +349,14 @@ func (c *Coordinator) StepContext(ctx context.Context, d time.Duration) error {
 		// would silently desynchronize their clocks from the
 		// coordinator's and break the lockstep invariant.
 		return fmt.Errorf("cluster: step %v must be a multiple of the %v kernel tick", d, sim.Tick)
+	}
+	if d > c.retained {
+		// Demand is read over the whole step: raise every session's
+		// retention before the step writes what it will read.
+		for _, s := range c.sessions {
+			s.Retain(d)
+		}
+		c.retained = d
 	}
 	c.stepD = d
 	if _, err := sweep.Run(ctx, c.cells, sweep.Options{Parallel: c.cfg.Parallel}); err != nil {
@@ -643,14 +659,12 @@ func (c *Coordinator) domainSnapshot(d *domain, nodes []NodeSnapshot) DomainSnap
 	return ds
 }
 
-// GrowTraces preallocates every node's telemetry traces and the
-// coordinator's own cap/domain trace storage for d of further simulated
-// time, so a caller that knows its horizon keeps steady-state epoch
-// stepping free of trace reallocation.
+// GrowTraces preallocates the coordinator's own cap/domain trace storage
+// for d of further simulated time, so a caller that knows its horizon
+// keeps steady-state epoch stepping free of trace reallocation. Node
+// sessions need no growing: they keep a trailing window whose storage
+// stops growing once it is warm.
 func (c *Coordinator) GrowTraces(d time.Duration) {
-	for _, s := range c.sessions {
-		s.GrowTraces(d)
-	}
 	epochs := int(d/c.cfg.Epoch) + 1
 	rowLen := len(c.assigned)
 	if c.hier {
@@ -767,7 +781,6 @@ func (c *Coordinator) Result() *Result {
 			FinalCap:  c.assigned[i],
 			MeanPower: s.MeanPower(c.cfg.Epoch),
 			MeanRate:  s.MeanRate(c.cfg.Epoch),
-			Result:    s.Result(),
 		}
 		res.Nodes = append(res.Nodes, nr)
 		res.TotalRate += nr.MeanRate

@@ -257,16 +257,16 @@ func buildWorld(s Scenario) (*world, *sim.Runner, error) {
 	}
 	w.ctrl = sup
 
-	runner.Register(&faultTicker{w: w})
-	// Sensors observe before firmware and controller act (registration
-	// order is tick order).
-	runner.Register(w.powerSensor)
-	runner.Register(w.perfSensor)
+	// Registration order is tick order: sensors observe before firmware
+	// and controller act. The schedule is registered in one call, so the
+	// runner sizes it once.
+	tickers := make([]sim.Ticker, 0, 16)
+	tickers = append(tickers, &faultTicker{w: w}, w.powerSensor, w.perfSensor)
 	for _, sns := range w.appSensors {
-		runner.Register(sns)
+		tickers = append(tickers, sns)
 	}
 	for _, fw := range w.firmwares {
-		runner.Register(fw)
+		tickers = append(tickers, fw)
 	}
 	// The thermal-headroom governor sits between the firmware and the
 	// controller: a firmware-adjacent protection rung that tightens the
@@ -277,16 +277,17 @@ func buildWorld(s Scenario) (*world, *sim.Runner, error) {
 		for i := range w.govScale {
 			w.govScale[i] = 1
 		}
-		runner.Register(&thermalGovernor{
+		tickers = append(tickers, &thermalGovernor{
 			w:       w,
 			cfg:     s.ThermalGovernor.withDefaults(),
 			scratch: make([]float64, 0, s.Platform.Sockets),
 		})
 	}
-	runner.Register(&controllerTicker{w: w, c: w.ctrl})
+	tickers = append(tickers, &controllerTicker{w: w, c: w.ctrl})
 	if w.dog != nil {
-		runner.Register(w.dog)
+		tickers = append(tickers, w.dog)
 	}
+	runner.Register(tickers...)
 	return w, runner, nil
 }
 

@@ -74,6 +74,22 @@ func (s *Session) AdvanceContext(ctx context.Context, d time.Duration) error {
 // steady-state ticking free of trace reallocation.
 func (s *Session) GrowTraces(d time.Duration) { s.w.growTraces(d) }
 
+// Retain bounds what the session keeps to a trailing window of d of
+// simulated time, for owners that never read the whole run: a served node
+// or cluster member would otherwise keep every sample it ever took. The
+// traces (true power, rates, spin, bandwidth and the sensor recordings)
+// and the operating-point and configuration logs are compacted in place,
+// dropping what is older than d before their newest entry.
+//
+// MeanPower and MeanRate over windows no longer than d return exactly what
+// they would without retention, bit for bit; a longer window sees only the
+// retained span, so an owner raises the retention before it reads further
+// back. Result then covers only the retained span too: its traces, logs,
+// settling, violation and steady-state figures describe the last d or so of
+// the run, while its EnergyJ, FaultEvents and Degradations still cover the
+// whole run, as Snapshot does. d <= 0 keeps everything again from now on.
+func (s *Session) Retain(d time.Duration) { s.w.retain(d) }
+
 // InjectFault schedules a fault at runtime: the scenario's onset is
 // interpreted relative to the session's current simulated time (onset 0
 // means "starting now"). The scenario is validated before scheduling.
@@ -258,7 +274,9 @@ func (s *Session) Snapshot() Snapshot {
 	if len(s.w.tempC) > 0 {
 		sn.Thermal = s.w.thermals(make([]SocketTherm, 0, len(s.w.tempC)))
 	}
-	sn.Degradations = len(s.Degradations())
+	if s.w.dog != nil {
+		sn.Degradations = len(s.w.dog.events)
+	}
 	return sn
 }
 

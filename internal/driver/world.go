@@ -2,6 +2,7 @@ package driver
 
 import (
 	"math"
+	"strconv"
 	"time"
 
 	"pupil/internal/core"
@@ -102,6 +103,9 @@ type world struct {
 
 	configLog []ConfigEvent
 	opLog     []OpEvent
+	// keep is the trailing window a retained session holds on to (<= 0:
+	// the whole run); see Session.Retain.
+	keep time.Duration
 }
 
 // OpEvent records a firmware operating-point change.
@@ -117,6 +121,9 @@ type ConfigEvent struct {
 	T   time.Duration
 	Cfg machine.Config
 }
+
+func (e OpEvent) at() time.Duration     { return e.T }
+func (e ConfigEvent) at() time.Duration { return e.T }
 
 type pendingCfg struct {
 	at  time.Duration
@@ -149,10 +156,7 @@ func newWorld(s Scenario, apps []*workload.Instance, rng *sim.RNG) *world {
 	}
 	w.evaluator = system.NewEvaluator(s.Platform, apps)
 	w.evalCfg = w.active
-	for sock := 0; sock < s.Platform.Sockets; sock++ {
-		pkg := "package_" + itoa(sock)
-		w.zoneNames = append(w.zoneNames, [3]string{pkg, pkg + "_core", pkg + "_dram"})
-	}
+	w.zoneNames = zoneLabels(s.Platform.Sockets)
 	for i := range apps {
 		w.rateTrace = append(w.rateTrace, sim.NewSeries(apps[i].Profile.Name))
 		// Applications report progress through the heartbeat interface
@@ -220,30 +224,31 @@ func newWorld(s Scenario, apps []*workload.Instance, rng *sim.RNG) *world {
 
 // growTraces preallocates every per-run trace for d of simulated time
 // (samples accrue once per sensor period), so a bounded run's steady-state
-// ticking never reallocates telemetry storage. The event logs are sized to
-// their caps outright: their bound makes that the worst case anyway, and a
-// caller interested in steady-state allocation wants the doubling ramp out
-// of the way up front.
+// ticking never reallocates telemetry storage. The event logs grow by use:
+// most runs log a few dozen events, far below the logs' caps.
 func (w *world) growTraces(d time.Duration) {
 	n := int(d/sensorPeriod) + 2
-	w.truePower.Grow(n)
-	w.spinTrace.Grow(n)
-	w.bwTrace.Grow(n)
+	w.eachTrace(func(tr *sim.Series) { tr.Grow(n) })
+}
+
+// retain bounds every trace and both event logs to the trailing window d;
+// see Session.Retain.
+func (w *world) retain(d time.Duration) {
+	w.keep = d
+	w.eachTrace(func(tr *sim.Series) { tr.Retain(d) })
+}
+
+// eachTrace calls fn on every per-run trace: true power, spin, bandwidth,
+// the per-application rates and the two sensor recordings.
+func (w *world) eachTrace(fn func(*sim.Series)) {
+	fn(w.truePower)
+	fn(w.spinTrace)
+	fn(w.bwTrace)
 	for _, tr := range w.rateTrace {
-		tr.Grow(n)
+		fn(tr)
 	}
-	if tr := w.powerSensor.Trace(); tr != nil {
-		tr.Grow(n)
-	}
-	if tr := w.perfSensor.Trace(); tr != nil {
-		tr.Grow(n)
-	}
-	if cap(w.opLog) < opLogCap {
-		w.opLog = append(make([]OpEvent, 0, opLogCap), w.opLog...)
-	}
-	if cap(w.configLog) < configLogCap {
-		w.configLog = append(make([]ConfigEvent, 0, configLogCap), w.configLog...)
-	}
+	fn(w.powerSensor.Trace())
+	fn(w.perfSensor.Trace())
 }
 
 // heartbeatRetention is how many reports each application's heartbeat
@@ -347,13 +352,28 @@ func (w *world) thermals(buf []SocketTherm) []SocketTherm {
 	return buf
 }
 
-// itoa is strconv.Itoa for the small non-negative ints of socket labels,
-// kept local so world.go's construction path stays dependency-light.
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
+// zoneTable holds the zone labels of the first eight sockets, formatted
+// once so that building a session formats no strings. Sessions share its
+// rows read-only.
+var zoneTable = buildZoneLabels(8)
+
+// zoneLabels returns the zone labels of sockets 0..n-1.
+func zoneLabels(n int) [][3]string {
+	if n <= len(zoneTable) {
+		return zoneTable[:n:n]
 	}
-	return itoa(n/10) + string(rune('0'+n%10))
+	return buildZoneLabels(n)
+}
+
+// buildZoneLabels formats package_<s>, package_<s>_core and
+// package_<s>_dram for sockets 0..n-1.
+func buildZoneLabels(n int) [][3]string {
+	out := make([][3]string, n)
+	for s := range out {
+		pkg := "package_" + strconv.Itoa(s)
+		out[s] = [3]string{pkg, pkg + "_core", pkg + "_dram"}
+	}
+	return out
 }
 
 // stepThermal integrates the per-socket RC junction model and drives the
@@ -496,7 +516,7 @@ func (w *world) adopt(cfg machine.Config) {
 	}
 	w.active = next
 	w.evalStale = true
-	w.configLog = boundLog(w.configLog, configLogCap)
+	w.configLog = boundLog(w.configLog, configLogCap, w.now(), w.keep)
 	w.configLog = append(w.configLog, ConfigEvent{T: w.now(), Cfg: cfg.Clone()})
 }
 
@@ -510,8 +530,21 @@ const (
 	configLogCap = 1024
 )
 
-// boundLog compacts log in place to its newest half once it reaches max.
-func boundLog[E any](log []E, max int) []E {
+// boundLog makes room in log, in place, before an append at now. A
+// retained session (keep > 0) whose backing array is full drops the events
+// older than keep before now once they are at least half of it, as a
+// retained sim.Series does; every log then drops its oldest half once it
+// reaches max, the backstop for a burst of events inside the window.
+func boundLog[E interface{ at() time.Duration }](log []E, max int, now, keep time.Duration) []E {
+	if keep > 0 && len(log) == cap(log) {
+		old := 0
+		for old < len(log) && log[old].at() < now-keep {
+			old++
+		}
+		if 2*old >= len(log) {
+			log = log[:copy(log, log[old:])]
+		}
+	}
 	if len(log) < max {
 		return log
 	}
@@ -726,7 +759,7 @@ func (w *world) SetOperatingPoint(socket int, freqIdx int, duty float64) {
 		return
 	}
 	if w.active.Freq[socket] != freqIdx || abs(w.active.Duty[socket]-duty) >= 0.049 {
-		w.opLog = boundLog(w.opLog, opLogCap)
+		w.opLog = boundLog(w.opLog, opLogCap, w.now(), w.keep)
 		w.opLog = append(w.opLog, OpEvent{T: w.now(), Socket: socket, FreqIdx: freqIdx, Duty: duty})
 	}
 	w.active.Freq[socket] = freqIdx

@@ -23,8 +23,9 @@ type beat struct {
 // retention window are not answerable.
 type Monitor struct {
 	name  string
-	buf   []beat
-	head  int // index of the oldest retained beat
+	buf   []beat // ring storage, allocated at the first Beat
+	size  int    // the ring's capacity
+	head  int    // index of the oldest retained beat
 	count int
 	total float64
 }
@@ -34,7 +35,7 @@ func NewMonitor(name string, capacity int) *Monitor {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Monitor{name: name, buf: make([]beat, capacity)}
+	return &Monitor{name: name, size: capacity}
 }
 
 // Name identifies the application.
@@ -49,6 +50,9 @@ func (m *Monitor) Beat(now time.Duration, n float64) error {
 	}
 	if m.count > 0 && now < m.last().t {
 		return fmt.Errorf("heartbeat: %s: beat at %v precedes last at %v", m.name, now, m.last().t)
+	}
+	if m.buf == nil {
+		m.buf = make([]beat, m.size)
 	}
 	idx := (m.head + m.count) % len(m.buf)
 	if m.count == len(m.buf) {

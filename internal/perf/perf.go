@@ -6,14 +6,16 @@
 //
 // The committed baseline is the repo's recorded benchmark trajectory: CI
 // re-runs the suite on every push and fails when a hot path regresses by
-// more than the threshold in time/op or allocs/op. Allocation counts are
-// deterministic, so they gate at a much tighter tolerance than wall-clock
-// — an alloc regression is a code change, never scheduler noise.
+// more than the threshold in time/op, or past its slack in allocs/op or
+// bytes/op. Allocation counts are deterministic, so they gate at a much
+// tighter tolerance than wall-clock — an alloc regression is a code change,
+// never scheduler noise.
 package perf
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -117,7 +119,7 @@ func ReadFile(path string) (Report, error) {
 // Regression is one gate violation found by Compare.
 type Regression struct {
 	Name string
-	// Dimension is "time/op" or "allocs/op".
+	// Dimension is "time/op", "allocs/op" or "B/op".
 	Dimension string
 	Baseline  float64
 	Current   float64
@@ -137,9 +139,21 @@ func (r Regression) String() string {
 // them by a few percent between runs.
 const AllocSlack = 0.10
 
+// BytesSlack and BytesSlackFloor are the tolerance Compare applies to
+// bytes/op: 25% of the baseline plus 1 KB. Bytes move more than counts
+// between runs (a map or a pool grows by a bucket, an amortized doubling
+// lands inside or outside the timer), and the absolute kilobyte keeps
+// near-zero baselines from gating on a handful of bytes, while a hot path
+// that goes back to growing a trace per op, kilobytes at a time, fails.
+const (
+	BytesSlack      = 0.25
+	BytesSlackFloor = 1024
+)
+
 // Compare gates current against baseline: any benchmark present in both
-// reports whose time/op grew by more than threshold (0.10 = 10%), or whose
-// allocs/op grew by more than AllocSlack, is reported as a regression.
+// reports whose time/op grew by more than threshold (0.10 = 10%), whose
+// allocs/op grew by more than AllocSlack, or whose bytes/op grew past
+// BytesSlack plus BytesSlackFloor is reported as a regression.
 // Benchmarks only present on one side are ignored (adding a benchmark must
 // not fail the gate retroactively).
 func Compare(baseline, current Report, threshold float64) []Regression {
@@ -167,6 +181,13 @@ func Compare(baseline, current Report, threshold float64) []Regression {
 				Name: base.Name, Dimension: "allocs/op",
 				Baseline: 0, Current: float64(cur.AllocsPerOp),
 				Ratio: float64(cur.AllocsPerOp),
+			})
+		}
+		if float64(cur.BytesPerOp) > float64(base.BytesPerOp)*(1+BytesSlack)+BytesSlackFloor {
+			out = append(out, Regression{
+				Name: base.Name, Dimension: "B/op",
+				Baseline: float64(base.BytesPerOp), Current: float64(cur.BytesPerOp),
+				Ratio: float64(cur.BytesPerOp) / math.Max(1, float64(base.BytesPerOp)),
 			})
 		}
 	}

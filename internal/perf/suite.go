@@ -60,11 +60,15 @@ func tickScenario() driver.Scenario {
 // 10 sensor samples, 20 firmware sub-intervals, one controller decision).
 // This is the loop every experiment, chaos run, and pupild node funnels
 // through; its allocs/op is the number the hot-path overhaul drives down.
+// The session retains one op's window, as a pupild node retains its tick,
+// so its traces stop growing once warm and bytes/op does not depend on
+// b.N.
 func RunnerTick(b *testing.B) {
 	sess, err := driver.NewSession(tickScenario())
 	if err != nil {
 		b.Fatal(err)
 	}
+	sess.Retain(100 * time.Millisecond)
 	// Run past the startup transient so ops measure steady state.
 	sess.Advance(2 * time.Second)
 	b.ReportAllocs()
@@ -279,10 +283,12 @@ func scaleCluster(n int, topo *server.ClusterTopologyConfig) (*server.Cluster, e
 }
 
 // clusterEpochScale is the shared body of the fleet-scale variants: one op
-// steps an n-node hierarchical cluster one coordinator epoch. The horizon
-// is known (b.N epochs of 100 ms), so traces are pre-grown outside the
-// timer — otherwise amortized trace doubling across hundreds of nodes makes
-// allocs/op a function of b.N and the number useless for regression gating.
+// steps an n-node hierarchical cluster one coordinator epoch. Node sessions
+// keep a trailing window that the warm-up fills, and the horizon is known
+// (b.N epochs of 100 ms), so the coordinator's own cap and domain traces
+// are pre-grown outside the timer — otherwise their amortized doubling
+// makes allocs/op a function of b.N and the number useless for regression
+// gating.
 func clusterEpochScale(b *testing.B, n int, topo *server.ClusterTopologyConfig) {
 	c, err := scaleCluster(n, topo)
 	if err != nil {

@@ -13,7 +13,9 @@ func benchNode(b *testing.B, subscribers int) *Node {
 		b.Fatal(err)
 	}
 	for i := 0; i < subscribers; i++ {
-		n.Subscribe(8) // unread: exercises the drop path, as a stalled client would
+		if _, err := n.Subscribe(8); err != nil { // unread: exercises the drop path, as a stalled client would
+			b.Fatal(err)
+		}
 	}
 	return n
 }

@@ -441,10 +441,11 @@ func (c *Cluster) Status() ClusterStatus {
 	return st
 }
 
-// GrowTraces preallocates every node's telemetry traces for d of further
-// simulated time. Harnesses that know how many epochs they will step (the
-// perf benchmarks do) use it so the measured steady state is free of
-// per-node trace reallocation.
+// GrowTraces preallocates the coordinator's cap and domain traces for d of
+// further simulated time. Harnesses that know how many epochs they will
+// step (the perf benchmarks do) use it so the measured steady state is free
+// of trace reallocation; node sessions keep a trailing window that stops
+// growing once warm, so they need none.
 func (c *Cluster) GrowTraces(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -304,7 +304,10 @@ func TestClusterSampleNoBufferAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := c.Subscribe(8)
+	sub, err := c.Subscribe(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sub.Cancel()
 	if !c.StepOnce() || !c.StepOnce() {
 		t.Fatal("cluster stopped early")
@@ -354,7 +357,11 @@ func TestClusterStreamChurnStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < cycles; i++ {
-				sub := c.Subscribe(2)
+				sub, err := c.Subscribe(2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				select {
 				case smp, ok := <-sub.C():
 					if ok && (smp.Epoch == 0 || len(smp.CapsWatts) != 2) {
@@ -372,7 +379,10 @@ func TestClusterStreamChurnStorm(t *testing.T) {
 	// The survivor keeps streaming across the teardown and sees the final
 	// epoch before close. Read one sample first so the delete cannot win
 	// the race before any epoch reaches the fresh ring.
-	survivor := c.Subscribe(4096)
+	survivor, err := c.Subscribe(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var last ClusterSample
 	select {
 	case last = <-survivor.C():

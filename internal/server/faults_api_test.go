@@ -279,7 +279,10 @@ func TestSlowSubscriberDuringFaultStream(t *testing.T) {
 	}
 
 	// The stuck consumer: tiny ring, never read.
-	stuck := n.Subscribe(2)
+	stuck, err := n.Subscribe(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stuck.Cancel()
 
 	start := n.Epoch()
@@ -295,7 +298,10 @@ func TestSlowSubscriberDuringFaultStream(t *testing.T) {
 	}
 
 	// A live subscriber still sees fresh faulted samples.
-	live := n.Subscribe(64)
+	live, err := n.Subscribe(64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer live.Cancel()
 	sawFault := false
 	timeout := time.After(10 * time.Second)

@@ -156,8 +156,10 @@ const maxStreamBuffer = 4096
 // the client disconnects, the resource stops, or ?max=N samples have been
 // sent. ?buffer=N sizes the subscriber's ring buffer (default 64, at most
 // maxStreamBuffer); a consumer slower than the tick rate loses the oldest
-// samples, reported in each record's dropped counter.
-func stream[T any, S interface{ withDropped(uint64) S }](lookup finder[T], subscribe func(T, int) *telemetry.Subscriber[S]) http.HandlerFunc {
+// samples, reported in each record's dropped counter. A resource that is no
+// longer running is answered 409 before any header is written, so a client
+// can tell "finished" from "no sample yet".
+func stream[T any, S interface{ withDropped(uint64) S }](lookup finder[T], subscribe func(T, int) (*telemetry.Subscriber[S], error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v, ok := lookup(w, r)
 		if !ok {
@@ -176,7 +178,11 @@ func stream[T any, S interface{ withDropped(uint64) S }](lookup finder[T], subsc
 			return
 		}
 
-		sub := subscribe(v, buffer)
+		sub, err := subscribe(v, buffer)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		defer sub.Cancel()
 
 		w.Header().Set("Content-Type", "application/x-ndjson")

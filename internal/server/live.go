@@ -116,14 +116,19 @@ func (l *live[S]) Done() <-chan struct{} { return l.done }
 func (l *live[S]) StreamDropped() uint64 { return l.fan.TotalDropped() }
 
 // Subscribe registers a stream subscriber with the given ring-buffer
-// capacity; its channel closes when the resource stops. It takes the tick
-// lock so registration is ordered against the publish: a cluster sample
+// capacity; its channel closes when the resource stops. A resource that is
+// no longer running has no samples left to send, so subscribing to it
+// fails with ErrNotRunning. It takes the tick lock, which also guards the
+// state, so registration is ordered against the publish: a cluster sample
 // built while no subscriber existed aliases reused buffers, and must never
 // reach a ring that outlives the tick.
-func (l *live[S]) Subscribe(buffer int) *telemetry.Subscriber[S] {
+func (l *live[S]) Subscribe(buffer int) (*telemetry.Subscriber[S], error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.fan.Subscribe(buffer)
+	if l.state != StateRunning {
+		return nil, fmt.Errorf("%w: %s %s is %s", ErrNotRunning, l.what, l.id, l.state)
+	}
+	return l.fan.Subscribe(buffer), nil
 }
 
 // StepOnce advances a detached resource one tick synchronously and reports

@@ -381,6 +381,9 @@ func newNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{cfg: cfg, apps: apps, sess: sess}
 	n.setup(n, "node", "session", pace(cfg.TickSimMS, DefaultTickSim),
 		pace(cfg.TickRealMS, DefaultTickReal), cfg.FreeRun, cfg.MaxSimS)
+	// A node reads its session's traces only through the trailing mean of
+	// one tick, so the session keeps one tick's window, not its whole run.
+	sess.Retain(n.tickSim)
 	return n, nil
 }
 

@@ -36,7 +36,11 @@ func TestConcurrentLifecycle(t *testing.T) {
 				t.Errorf("create %s: %v", bench, err)
 				return
 			}
-			sub := n.Subscribe(16)
+			sub, err := n.Subscribe(16)
+			if err != nil {
+				t.Errorf("%s: subscribe: %v", bench, err)
+				return
+			}
 			for i := 0; i < 3; i++ {
 				if _, open := <-sub.C(); !open {
 					t.Errorf("%s: stream closed early", bench)
@@ -110,7 +114,10 @@ func TestBlockedSubscriberDropsNotStalls(t *testing.T) {
 // blockedSubscriber holds a tiny-buffered subscriber of l unread for 100
 // epochs, then checks that it dropped samples and still gets the newest.
 func blockedSubscriber[S any](t *testing.T, l *live[S], epochOf func(S) uint64) {
-	sub := l.Subscribe(2) // tiny buffer, never read
+	sub, err := l.Subscribe(2) // tiny buffer, never read
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := l.Epoch()
 	deadline := time.After(30 * time.Second)
 	for l.Epoch() < start+100 {
@@ -149,8 +156,14 @@ func TestManagerCloseGraceful(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := a.Subscribe(4)
-	csub := c.Subscribe(4)
+	sub, err := a.Subscribe(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csub, err := c.Subscribe(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mgr.Close()
 	<-a.Done()
 	<-b.Done()

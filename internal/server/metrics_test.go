@@ -174,7 +174,10 @@ func TestStreamDroppedExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := n.Subscribe(1) // never read: every tick past the first overflows
+	sub, err := n.Subscribe(1) // never read: every tick past the first overflows
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sub.Cancel()
 
 	deadline := time.Now().Add(10 * time.Second)

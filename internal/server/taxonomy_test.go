@@ -12,7 +12,8 @@ import (
 // node and cluster APIs: invalid input is 400 before it reaches the
 // models, an unknown resource is 404, and mutating a resource that is no
 // longer running — cap and budget changes, per-node overrides, fault
-// injection — is 409. This sweep pins every /v1/nodes and /v1/clusters
+// injection — is 409, and so is streaming one, which has no samples left
+// to send. This sweep pins every /v1/nodes and /v1/clusters
 // endpoint against that matrix so the taxonomy cannot drift between the
 // two APIs.
 
@@ -125,14 +126,16 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 		{"cluster fault missing domain", "POST", "/v1/clusters/" + liveCluster + "/faults", `{"kind": "crash", "target": "node", "duration_s": 1, "domain": "nowhere"}`, 404},
 		{"cluster fault info missing", "GET", "/v1/clusters/c999/faults", "", 404},
 
-		// --- 409: mutating a finished resource, node API.
+		// --- 409: mutating or streaming a finished resource, node API.
 		{"node cap done", "PUT", "/v1/nodes/" + doneNode + "/cap", `{"cap_watts": 100}`, 409},
 		{"node fault done", "POST", "/v1/nodes/" + doneNode + "/faults", fault, 409},
+		{"node stream done", "GET", "/v1/nodes/" + doneNode + "/stream", "", 409},
 
-		// --- 409: mutating a finished resource, cluster API.
+		// --- 409: mutating or streaming a finished resource, cluster API.
 		{"cluster budget done", "PUT", "/v1/clusters/" + doneCluster + "/budget", `{"budget_watts": 300}`, 409},
 		{"cluster node cap done", "PUT", "/v1/clusters/" + doneCluster + "/nodes/0/cap", `{"cap_watts": 100}`, 409},
 		{"cluster fault done", "POST", "/v1/clusters/" + doneCluster + "/faults", `{"kind": "crash", "target": "node", "duration_s": 1, "node": 0}`, 409},
+		{"cluster stream done", "GET", "/v1/clusters/" + doneCluster + "/stream", "", 409},
 
 		// --- Reads and deletes stay legal on finished resources.
 		{"node get done", "GET", "/v1/nodes/" + doneNode, "", 200},

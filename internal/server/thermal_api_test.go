@@ -33,7 +33,10 @@ func TestThermalNodeSurfacesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := n.Subscribe(64)
+	sub, err := n.Subscribe(64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sub.Cancel()
 	for i := 0; i < 30; i++ {
 		if !n.StepOnce() {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -29,11 +30,16 @@ type Ticker interface {
 type Runner struct {
 	Clock   *Clock
 	World   World
-	tickers []Ticker
-	periods []time.Duration
-	// nextDue caches each ticker's next firing time so the kernel loop
-	// compares instead of computing a modulo per ticker per tick.
-	nextDue []time.Duration
+	tickers []scheduled
+}
+
+// scheduled is one registered ticker with its period rounded up to the
+// kernel Tick and its next firing time, cached so the kernel loop compares
+// instead of computing a modulo per ticker per tick.
+type scheduled struct {
+	t       Ticker
+	period  time.Duration
+	nextDue time.Duration
 }
 
 // NewRunner returns a runner over world with a fresh clock.
@@ -41,26 +47,29 @@ func NewRunner(world World) *Runner {
 	return &Runner{Clock: &Clock{}, World: world}
 }
 
-// Register adds a ticker. Periods are rounded up to the kernel Tick; a
-// non-positive period panics because a ticker that never fires (or fires
-// infinitely often) is a configuration bug.
-func (r *Runner) Register(t Ticker) {
-	p := t.Period()
-	if p <= 0 {
-		panic(fmt.Sprintf("sim: ticker with non-positive period %v", p))
-	}
-	if rem := p % Tick; rem != 0 {
-		p += Tick - rem
-	}
-	r.tickers = append(r.tickers, t)
-	r.periods = append(r.periods, p)
-	// First firing: the next multiple of p strictly after the current time
-	// (the kernel never fires tickers at t=0).
+// Register adds tickers, in order; one call grows the schedule once, so a
+// caller that registers a whole node at once allocates it once. Periods
+// are rounded up to the kernel Tick; a non-positive period panics because
+// a ticker that never fires (or fires infinitely often) is a configuration
+// bug.
+func (r *Runner) Register(ts ...Ticker) {
+	// First firing: the next multiple of the period strictly after the
+	// current time (the kernel never fires tickers at t=0).
 	now := time.Duration(0)
 	if r.Clock != nil {
 		now = r.Clock.Now()
 	}
-	r.nextDue = append(r.nextDue, (now/p+1)*p)
+	r.tickers = slices.Grow(r.tickers, len(ts))
+	for _, t := range ts {
+		p := t.Period()
+		if p <= 0 {
+			panic(fmt.Sprintf("sim: ticker with non-positive period %v", p))
+		}
+		if rem := p % Tick; rem != 0 {
+			p += Tick - rem
+		}
+		r.tickers = append(r.tickers, scheduled{t: t, period: p, nextDue: (now/p + 1) * p})
+	}
 }
 
 // Run advances the simulation by d. The world steps once per kernel Tick,
@@ -110,10 +119,10 @@ func (r *Runner) run(ctx context.Context, d time.Duration, stop func(now time.Du
 		if r.World != nil {
 			r.World.Step(now, Tick)
 		}
-		for i, t := range r.tickers {
-			if now >= r.nextDue[i] {
-				r.nextDue[i] = now + r.periods[i]
-				t.Tick(now)
+		for i := range r.tickers {
+			if st := &r.tickers[i]; now >= st.nextDue {
+				st.nextDue = now + st.period
+				st.t.Tick(now)
 			}
 		}
 		if stop != nil && stop(now) {

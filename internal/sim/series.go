@@ -14,9 +14,14 @@ type Sample struct {
 }
 
 // Series is an append-only time series, e.g. a power or performance trace.
+// A series keeps every sample unless Retain bounds it to a trailing
+// window.
 type Series struct {
 	Name    string
 	Samples []Sample
+	// keep is the trailing window a retained series must hold; <= 0 keeps
+	// every sample.
+	keep time.Duration
 }
 
 // NewSeries returns an empty named series.
@@ -30,7 +35,29 @@ func (s *Series) Add(t time.Duration, v float64) {
 		panic(fmt.Sprintf("sim: series %q sample at %v precedes last sample at %v",
 			s.Name, t, s.Samples[n-1].T))
 	}
+	if s.keep > 0 && len(s.Samples) == cap(s.Samples) {
+		s.compact(t - s.keep)
+	}
 	s.Samples = append(s.Samples, Sample{T: t, V: v})
+}
+
+// Retain bounds the series to a trailing window: from now on it keeps the
+// samples no older than d before its newest one, and may drop the rest.
+// Windowed reads ending at or after the newest sample and no longer than d
+// (MeanBetween, Between) see exactly the samples, in the same order, that
+// an unbounded series would. d <= 0 keeps every sample again.
+func (s *Series) Retain(d time.Duration) { s.keep = d }
+
+// compact drops the samples older than cutoff in place, but only once at
+// least half of the backing array is that old: otherwise append grows it,
+// so each retained sample is copied O(1) times on average and the array
+// settles at about twice the window.
+func (s *Series) compact(cutoff time.Duration) {
+	old := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T >= cutoff })
+	if 2*old < len(s.Samples) {
+		return
+	}
+	s.Samples = s.Samples[:copy(s.Samples, s.Samples[old:])]
 }
 
 // Grow reserves capacity for at least n further samples. Callers that know

@@ -126,6 +126,50 @@ func TestSeriesWindowing(t *testing.T) {
 	}
 }
 
+// TestSeriesRetainBitIdentical pins the retention contract: a retained
+// series answers every window no longer than its retention, ending at its
+// newest sample, with exactly the samples in exactly the order of an
+// unbounded twin, so every mean is equal bit for bit, while its backing
+// array stops growing at about twice the window.
+func TestSeriesRetainBitIdentical(t *testing.T) {
+	rng := NewRNG(7)
+	const period = 10 * time.Millisecond
+	full, kept := NewSeries("full"), NewSeries("kept")
+	keep := 200 * time.Millisecond
+	kept.Retain(keep)
+	// valid is the longest window the retained series can answer: a
+	// raised retention covers only what was written since the raise on top
+	// of the old window.
+	valid := time.Duration(0)
+	maxCap := 0
+	for i := 1; i <= 20000; i++ {
+		now := time.Duration(i) * period
+		v := rng.NormFloat64()
+		full.Add(now, v)
+		kept.Add(now, v)
+		valid = min(keep, valid+period)
+		if i%5000 == 0 {
+			keep *= 2
+			kept.Retain(keep)
+		}
+		maxCap = max(maxCap, cap(kept.Samples))
+		for _, w := range []time.Duration{period, valid / 3, valid} {
+			from := now - w
+			if a, b := full.MeanBetween(from, now+1), kept.MeanBetween(from, now+1); a != b {
+				t.Fatalf("t=%v window %v: retained mean %v, unbounded %v", now, w, b, a)
+			}
+		}
+	}
+	// The final window is 1.6 s, 160 samples: the array may reach twice
+	// that before a compaction, rounded up by append's growth.
+	if maxCap > 512 {
+		t.Errorf("retained series grew to %d samples of capacity for a 160-sample window", maxCap)
+	}
+	if full.Len() != 20000 {
+		t.Errorf("unbounded series kept %d of 20000 samples", full.Len())
+	}
+}
+
 func TestSeriesRejectsOutOfOrder(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -80,31 +80,41 @@ type Evaluator struct {
 	tempQ []float64
 }
 
-// NewEvaluator returns an evaluator over a fixed platform and app set.
+// NewEvaluator returns an evaluator over a fixed platform and app set. Its
+// per-app and per-socket buffers are carved from one float64 and one bool
+// backing array: a session builds one evaluator, and a fleet builds
+// thousands of sessions.
 func NewEvaluator(p *machine.Platform, apps []*workload.Instance) *Evaluator {
-	n := len(apps)
+	n, ns := len(apps), p.Sockets
+	fs := make([]float64, 11*n+3*ns)
+	f := func(k int) []float64 {
+		v := fs[:k:k]
+		fs = fs[k:]
+		return v
+	}
+	bs := make([]bool, 2*n)
 	return &Evaluator{
 		plat:        p,
 		apps:        apps,
-		cfgFreq:     make([]int, p.Sockets),
-		cfgDuty:     make([]float64, p.Sockets),
-		capacity:    make([]float64, n),
+		cfgFreq:     make([]int, ns),
+		cfgDuty:     f(ns),
+		capacity:    f(n),
 		spins:       make([]sched.SpinState, n),
-		appSpan:     make([]bool, n),
-		stealApp:    make([]float64, n),
-		capable:     make([]float64, n),
-		compBase:    make([]float64, n),
-		rates:       make([]float64, n),
-		perAppSpin:  make([]float64, n),
-		perAppBW:    make([]float64, n),
-		powerSocket: make([]float64, p.Sockets),
-		compute:     make([]float64, n),
-		demand:      make([]float64, n),
-		bwCap:       make([]float64, n),
-		allocBW:     make([]float64, n),
-		sat:         make([]bool, n),
-		loads:       make([]machine.SocketLoad, p.Sockets),
-		tempQ:       make([]float64, p.Sockets),
+		appSpan:     bs[:n:n],
+		stealApp:    f(n),
+		capable:     f(n),
+		compBase:    f(n),
+		rates:       f(n),
+		perAppSpin:  f(n),
+		perAppBW:    f(n),
+		powerSocket: f(ns),
+		compute:     f(n),
+		demand:      f(n),
+		bwCap:       f(n),
+		allocBW:     f(n),
+		sat:         bs[n:],
+		loads:       make([]machine.SocketLoad, ns),
+		tempQ:       f(ns),
 	}
 }
 
