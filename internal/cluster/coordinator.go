@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"pupil/internal/driver"
@@ -86,6 +87,11 @@ type Coordinator struct {
 	// arena backs trace rows in chunks so steady-state recording does not
 	// allocate per epoch.
 	arena []float64
+	// keep is the trailing window of trace rows a retained coordinator
+	// holds (<= 0: every row); rowT is each row's recording time, kept
+	// only while retained. See Retain.
+	keep time.Duration
+	rowT []time.Duration
 }
 
 // NewCoordinator validates the configuration and builds the cluster's
@@ -521,18 +527,89 @@ func (c *Coordinator) apply(next []float64) error {
 // clusters, the current per-domain budgets to DomainTrace — the two traces
 // stay row-aligned so every applied change is visible at every tree level.
 // Rows are carved from a chunked arena so steady-state epoch recording
-// amortizes to (nearly) zero allocations.
+// amortizes to (nearly) zero allocations; a retained coordinator first
+// trims the rows that left its window and reuses their storage.
 func (c *Coordinator) record() {
-	row := c.arenaRow(len(c.assigned))
-	copy(row, c.assigned)
-	c.capTrace = append(c.capTrace, row)
+	if c.keep > 0 {
+		c.trimTraces()
+		c.rowT = append(c.rowT, c.now)
+	}
+	copy(c.appendRow(&c.capTrace, len(c.assigned)), c.assigned)
 	if c.hier {
-		drow := c.arenaRow(len(c.domains))
+		drow := c.appendRow(&c.domainTrace, len(c.domains))
 		for i, d := range c.domains {
 			drow[i] = d.budget
 		}
-		c.domainTrace = append(c.domainTrace, drow)
 	}
+}
+
+// Retain bounds the coordinator's own cap and domain traces to a trailing
+// window of d of simulated time, as Session.Retain bounds a session's, for
+// owners that never read them whole: a served cluster would otherwise add
+// a row per epoch forever. Once the cap trace's backing array is full and
+// at least half its rows were recorded more than d before the current
+// time, those rows are dropped in place, row-aligned across both traces,
+// and their storage is reused for the rows that follow, so a warm epoch
+// allocates nothing. Result then covers only the retained rows, and its
+// traces share storage that later epochs reuse. d <= 0 keeps every row
+// again from now on.
+func (c *Coordinator) Retain(d time.Duration) {
+	c.keep = d
+	if d <= 0 {
+		c.rowT = nil
+		return
+	}
+	// Rows recorded before retention have no time: they count as now.
+	for len(c.rowT) < len(c.capTrace) {
+		c.rowT = append(c.rowT, c.now)
+	}
+}
+
+// trimTraces drops the rows older than the retained window once the cap
+// trace is full and they are at least half of it, as a retained sim.Series
+// compacts. The dropped rows rotate, in place, behind the live ones, where
+// appendRow finds their storage.
+func (c *Coordinator) trimTraces() {
+	if len(c.capTrace) < cap(c.capTrace) {
+		return
+	}
+	old := 0
+	for old < len(c.rowT) && c.rowT[old] < c.now-c.keep {
+		old++
+	}
+	if 2*old < len(c.rowT) {
+		return
+	}
+	c.capTrace = dropRows(c.capTrace, old)
+	if c.hier {
+		c.domainTrace = dropRows(c.domainTrace, old)
+	}
+	c.rowT = c.rowT[:copy(c.rowT, c.rowT[old:])]
+}
+
+// dropRows drops the first k rows, rotating them behind the rest within the
+// backing array (three in-place reversals), and returns the live rows.
+func dropRows(rows [][]float64, k int) [][]float64 {
+	slices.Reverse(rows[:k])
+	slices.Reverse(rows[k:])
+	slices.Reverse(rows)
+	return rows[:len(rows)-k]
+}
+
+// appendRow appends an n-element row to *trace and returns it for the
+// caller to fill: the storage of a dropped row waiting past the trace's
+// length when there is one, otherwise a row carved from the arena.
+func (c *Coordinator) appendRow(trace *[][]float64, n int) []float64 {
+	t := *trace
+	if len(t) < cap(t) {
+		if row := t[:len(t)+1][len(t)]; len(row) == n {
+			*trace = t[:len(t)+1]
+			return row
+		}
+	}
+	row := c.arenaRow(n)
+	*trace = append(t, row)
+	return row
 }
 
 // arenaRow carves an n-element row out of the trace arena, refilling the
@@ -659,34 +736,6 @@ func (c *Coordinator) domainSnapshot(d *domain, nodes []NodeSnapshot) DomainSnap
 	return ds
 }
 
-// GrowTraces preallocates the coordinator's own cap/domain trace storage
-// for d of further simulated time, so a caller that knows its horizon
-// keeps steady-state epoch stepping free of trace reallocation. Node
-// sessions need no growing: they keep a trailing window whose storage
-// stops growing once it is warm.
-func (c *Coordinator) GrowTraces(d time.Duration) {
-	epochs := int(d/c.cfg.Epoch) + 1
-	rowLen := len(c.assigned)
-	if c.hier {
-		rowLen += len(c.domains)
-	}
-	if need := len(c.capTrace) + epochs; cap(c.capTrace) < need {
-		grown := make([][]float64, len(c.capTrace), need)
-		copy(grown, c.capTrace)
-		c.capTrace = grown
-	}
-	if c.hier {
-		if need := len(c.domainTrace) + epochs; cap(c.domainTrace) < need {
-			grown := make([][]float64, len(c.domainTrace), need)
-			copy(grown, c.domainTrace)
-			c.domainTrace = grown
-		}
-	}
-	if len(c.arena) < epochs*rowLen {
-		c.arena = make([]float64, epochs*rowLen)
-	}
-}
-
 // NodeCount reports the number of nodes in the cluster.
 func (c *Coordinator) NodeCount() int { return len(c.sessions) }
 
@@ -759,7 +808,8 @@ func (c *Coordinator) CheckInvariants() error {
 	return nil
 }
 
-// Result assembles the cluster outcome over everything simulated so far.
+// Result assembles the cluster outcome over everything simulated so far;
+// a retained coordinator's traces cover only its window (see Retain).
 func (c *Coordinator) Result() *Result {
 	res := &Result{Policy: c.cfg.Policy.Name(), CapTrace: c.capTrace}
 	if len(c.healthEvents) > 0 {

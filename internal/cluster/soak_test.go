@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 // four-node, health-on coordinator stepped an epoch at a time. Once warm
 // (at 10 s) neither may grow: the live heap after a GC stays within 8 KB
 // per session of its 10 s value, and the goroutine count is unchanged. The
-// coordinator's own cap trace grows a row per epoch by design, so it is
-// preallocated first and the measurement sees only what the sessions keep.
+// coordinator retains its epoch, as pupild's clusters do, so its own cap
+// trace counts in that bound too.
 func TestRetainedSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁶-tick soak")
@@ -63,7 +64,7 @@ func TestRetainedSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.GrowTraces(horizon)
+		c.Retain(c.Epoch())
 		var sn Snapshot
 		soak(t, c.NodeCount(), warm, horizon, func(d time.Duration) {
 			for end := c.Now() + d; c.Now() < end; {
@@ -107,4 +108,74 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// TestCoordinatorRetain: a coordinator retaining its epoch keeps exactly the
+// trailing rows of what an unretained twin records — both traces,
+// row-aligned, with budget and node-cap changes between epochs — while its
+// trace stops growing, and once warm its trace recording allocates nothing.
+func TestCoordinatorRetain(t *testing.T) {
+	build := func() *Coordinator {
+		c, err := NewCoordinator(Config{
+			Nodes:       mixedCluster(t, "RAPL"),
+			BudgetWatts: 400,
+			Epoch:       100 * time.Millisecond,
+			Policy:      DemandShiftPolicy{},
+			Seed:        5,
+			Topology:    Topology{NodesPerRack: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	full, kept := build(), build()
+	kept.Retain(kept.Epoch())
+	for epoch := 1; epoch <= 300; epoch++ {
+		for _, c := range []*Coordinator{full, kept} {
+			if epoch%7 == 0 {
+				if err := c.SetBudget(float64(360 + epoch%5*20)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if epoch%11 == 0 {
+				if err := c.SetNodeCap(epoch%4, 90); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Step(c.Epoch()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := len(kept.capTrace)
+		if len(kept.rowT) != n || len(kept.domainTrace) != n {
+			t.Fatalf("epoch %d: %d cap rows, %d row times, %d domain rows", epoch, n, len(kept.rowT), len(kept.domainTrace))
+		}
+		if n > 16 {
+			t.Fatalf("epoch %d: retained coordinator holds %d rows", epoch, n)
+		}
+		if kept.rowT[0] > kept.now-kept.keep {
+			t.Fatalf("epoch %d: oldest row at %v leaves the window from %v uncovered", epoch, kept.rowT[0], kept.now-kept.keep)
+		}
+		off := len(full.capTrace) - n
+		for i := 0; i < n; i++ {
+			if !slices.Equal(kept.capTrace[i], full.capTrace[off+i]) || !slices.Equal(kept.domainTrace[i], full.domainTrace[off+i]) {
+				t.Fatalf("epoch %d: retained row %d differs from the full trace's row %d", epoch, i, off+i)
+			}
+		}
+	}
+	// A thousand more epochs' rows, with nothing else running: once warm,
+	// each reuses a dropped row's storage.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			kept.now += kept.Epoch()
+			kept.record()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("1000 warm retained epochs' rows allocated %.0f times", allocs)
+	}
 }

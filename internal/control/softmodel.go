@@ -45,10 +45,13 @@ func TrainSoftModeling(p *machine.Platform, seed uint64) (*SoftModeling, error) 
 		if err != nil {
 			return nil, err
 		}
-		// Sample a spread of configurations per profile.
+		// Sample a spread of configurations per profile, through one
+		// evaluator: its cached evaluations are bit-identical to one-shot
+		// ones and skip rebuilding its buffers per sample.
+		eval := system.NewEvaluator(p, apps)
 		for i := 0; i < 96; i++ {
 			cfg := randomConfig(p, rng)
-			ev := system.Evaluate(p, cfg, apps, 0)
+			ev := eval.Eval(cfg, 0)
 			// Profiling measurements carry noise too.
 			noise := func() float64 { return 1 + 0.02*rng.NormFloat64() }
 			feats = append(feats, features(p, cfg))

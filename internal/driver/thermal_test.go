@@ -33,9 +33,10 @@ func TestStepThermalExactExponentialConvergence(t *testing.T) {
 			eval:       system.Eval{PowerSocket: []float64{powerW}},
 		}
 		w.maxTempC = start
+		w.setTick(dt)
 		prev := start
 		for step := 0; step < 20; step++ {
-			w.stepThermal(dt)
+			w.stepThermal()
 			cur := w.tempC[0]
 			if math.IsNaN(cur) || math.IsInf(cur, 0) {
 				t.Fatalf("start %.1f C step %d: temperature %v diverged", start, step, cur)

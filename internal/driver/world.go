@@ -47,11 +47,21 @@ type world struct {
 	breachTicks int // sensor-period ticks with true power above cap*1.03
 
 	evaluator *system.Evaluator
+	// eval is the world's own result: refresh evaluates into it in place.
+	// Its slices alias the evaluator's buffers.
 	eval      system.Eval
 	evalCfg   machine.Config // configuration the current eval was computed under
 	evalStale bool
 	lastEval  time.Duration
-	energyJ   float64
+	// phased marks an application whose rate has a workload phase, the
+	// eval's only input that moves with time alone.
+	phased  bool
+	energyJ float64
+
+	// tickS is tickDt in seconds, converted once per tick length rather
+	// than per application per tick.
+	tickDt time.Duration
+	tickS  float64
 
 	// zoneNames are the per-socket RAPL-style zone labels (package_<s>,
 	// package_<s>_core, package_<s>_dram), precomputed so the zone report
@@ -72,8 +82,7 @@ type world struct {
 	evalTempQ []float64
 	// thermK caches 1−exp(−dt/τ) for the current tick length, so the
 	// integration hot path pays one Exp per dt change, not per tick.
-	thermK   float64
-	thermKdt time.Duration
+	thermK float64
 
 	// Thermal-headroom governor state (nil slices when no governor): the
 	// per-socket cap multiplier applied inside applyCaps, engagement
@@ -156,6 +165,7 @@ func newWorld(s Scenario, apps []*workload.Instance, rng *sim.RNG) *world {
 	}
 	w.evaluator = system.NewEvaluator(s.Platform, apps)
 	w.evalCfg = w.active
+	w.phased = anyPhased(apps)
 	w.zoneNames = zoneLabels(s.Platform.Sockets)
 	for i := range apps {
 		w.rateTrace = append(w.rateTrace, sim.NewSeries(apps[i].Profile.Name))
@@ -182,11 +192,11 @@ func newWorld(s Scenario, apps []*workload.Instance, rng *sim.RNG) *world {
 	w.powerSensor = telemetry.NewSensor("power", func() float64 { return w.eval.PowerTotal },
 		sensorPeriod, windowLen, powerNoise, rng.Fork("power-sensor"))
 	w.powerSensor.Record(sim.NewSeries("power_w"))
-	w.powerSensor.SetTap(w.faults.SensorTap(faults.TargetPowerSensor))
+	w.powerSensor.SetTap(w.faults.SensorTap(faults.TargetPowerSensor, w.powerSensor.Window()))
 	w.perfSensor = telemetry.NewSensor("perf", w.perfSignal,
 		sensorPeriod, windowLen, perfNoise, rng.Fork("perf-sensor"))
 	w.perfSensor.Record(sim.NewSeries("perf"))
-	w.perfSensor.SetTap(w.faults.SensorTap(faults.TargetPerfSensor))
+	w.perfSensor.SetTap(w.faults.SensorTap(faults.TargetPerfSensor, w.perfSensor.Window()))
 	for i := range apps {
 		idx := i
 		sns := telemetry.NewSensor(
@@ -194,7 +204,7 @@ func newWorld(s Scenario, apps []*workload.Instance, rng *sim.RNG) *world {
 			func() float64 { return w.appSignal(idx) },
 			sensorPeriod, windowLen, perfNoise,
 			rng.Fork("app-sensor-"+apps[i].Profile.Name+string(rune('0'+i))))
-		sns.SetTap(w.faults.SensorTap(faults.TargetPerfSensor))
+		sns.SetTap(w.faults.SensorTap(faults.TargetPerfSensor, sns.Window()))
 		w.appSensors = append(w.appSensors, sns)
 	}
 
@@ -300,13 +310,60 @@ func (w *world) refresh(now time.Duration) {
 			}
 		}
 	}
-	w.eval = w.evaluator.EvalAt(cfg, now, w.tempC)
+	w.evaluator.EvalInto(&w.eval, cfg, now, w.tempC)
 	for s := range w.evalTempQ {
 		w.evalTempQ[s] = system.QuantizeTempC(w.tempC[s])
 	}
 	w.evalCfg = cfg
 	w.evalStale = false
 	w.lastEval = now
+}
+
+// periodicRefresh is the refresh rule at each evalPeriod for an eval that
+// is not stale. Every writer of the active configuration (adopt, the
+// firmware's operating point, thermal throttling) and every change to an
+// application's behaviour marks the eval stale, and Step refreshes a stale
+// eval at once. Otherwise the model's inputs move only with a workload
+// phase or with a junction temperature crossing a quantization cell:
+// without either, re-running the model would reproduce the eval bit for
+// bit, so only the period's anchor moves.
+func (w *world) periodicRefresh(now time.Duration) {
+	if w.phased || w.tempCellMoved() {
+		w.refresh(now)
+		return
+	}
+	w.lastEval = now
+}
+
+// tempCellMoved reports whether a socket's junction temperature has left
+// the quantization cell the current eval was computed at.
+func (w *world) tempCellMoved() bool {
+	for s, q := range w.evalTempQ {
+		if system.QuantizeTempC(w.tempC[s]) != q {
+			return true
+		}
+	}
+	return false
+}
+
+// appChanged drops the evaluator's cached terms and the current eval after
+// an application changed behaviour outside a configuration change (a
+// profile shift, an affinity limit): both feed the cached placement,
+// speedup and spin terms.
+func (w *world) appChanged() {
+	w.evaluator.Invalidate()
+	w.evalStale = true
+	w.phased = anyPhased(w.apps)
+}
+
+// anyPhased reports whether any application's rate has a workload phase.
+func anyPhased(apps []*workload.Instance) bool {
+	for _, a := range apps {
+		if a.Profile.PhaseAmp != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // zonePowers appends the node's current RAPL-style zone readings to buf:
@@ -378,7 +435,7 @@ func buildZoneLabels(n int) [][3]string {
 
 // stepThermal integrates the per-socket RC junction model and drives the
 // throttle hysteresis.
-func (w *world) stepThermal(dt time.Duration) {
+func (w *world) stepThermal() {
 	th := w.plat.Thermal
 	if th == nil {
 		return
@@ -386,37 +443,36 @@ func (w *world) stepThermal(dt time.Duration) {
 	w.totalTicks++
 	// Exact exponential step of dT/dt = (P − (T − Tamb)/Rth)/Cth with P
 	// held over the tick: T relaxes toward Tss = Tamb + P·Rth by a factor
-	// 1 − exp(−dt/τ), τ = Rth·Cth. Unconditionally stable and monotone at
-	// any tick length — the forward-Euler update this replaces left the
-	// unit circle at dt ≥ τ and oscillated to absurd temperatures on
-	// coarse-tick sessions. The factor is cached per tick length so the
-	// hot path pays one Exp per dt change, not per tick.
-	if dt != w.thermKdt {
-		w.thermKdt = dt
-		w.thermK = 1 - math.Exp(-dt.Seconds()/(th.RthCPerW*th.CthJPerC))
-	}
+	// 1 − exp(−dt/τ), τ = Rth·Cth (thermK, cached per tick length).
+	// Unconditionally stable and monotone at any tick length — the
+	// forward-Euler update this replaces left the unit circle at dt ≥ τ and
+	// oscillated to absurd temperatures on coarse-tick sessions.
+	tempC, throttling, power := w.tempC, w.throttling, w.eval.PowerSocket
+	k, maxT := w.thermK, w.maxTempC
 	throttlingNow := false
-	for s := range w.tempC {
+	for s := range tempC {
 		p := 0.0
-		if s < len(w.eval.PowerSocket) {
-			p = w.eval.PowerSocket[s]
+		if s < len(power) {
+			p = power[s]
 		}
 		tss := th.AmbientC + p*th.RthCPerW
-		w.tempC[s] += (tss - w.tempC[s]) * w.thermK
-		if w.tempC[s] > w.maxTempC {
-			w.maxTempC = w.tempC[s]
+		t := tempC[s] + (tss-tempC[s])*k
+		tempC[s] = t
+		if t > maxT {
+			maxT = t
 		}
-		if w.tempC[s] >= th.TjMaxC {
-			if !w.throttling[s] {
-				w.throttling[s] = true
+		if t >= th.TjMaxC {
+			if !throttling[s] {
+				throttling[s] = true
 				w.evalStale = true
 			}
-		} else if w.throttling[s] && w.tempC[s] < th.TjMaxC-th.HysteresisC {
-			w.throttling[s] = false
+		} else if throttling[s] && t < th.TjMaxC-th.HysteresisC {
+			throttling[s] = false
 			w.evalStale = true
 		}
-		throttlingNow = throttlingNow || w.throttling[s]
+		throttlingNow = throttlingNow || throttling[s]
 	}
+	w.maxTempC = maxT
 	if throttlingNow {
 		w.throttleTicks++
 	}
@@ -426,14 +482,21 @@ func (w *world) stepThermal(dt time.Duration) {
 	// This is the per-tick relaxation sweep of the power→temp→leakage→power
 	// fixed point; the TDP clamp bounds it and quantization keeps it from
 	// re-evaluating on sub-cell drift. Leakage-free platforms take no new
-	// staleness, keeping their tick loop untouched.
-	if w.plat.Leakage != nil {
-		for s := range w.tempC {
-			if system.QuantizeTempC(w.tempC[s]) != w.evalTempQ[s] {
-				w.evalStale = true
-				break
-			}
-		}
+	// staleness: their temperature reaches the eval's socket loads through
+	// the periodic refresh rule.
+	if w.plat.Leakage != nil && w.tempCellMoved() {
+		w.evalStale = true
+	}
+}
+
+// setTick caches the per-tick-length conversions: the tick in seconds and
+// the thermal relaxation factor, so the hot path pays one conversion and
+// one Exp per change of tick length, not per tick.
+func (w *world) setTick(dt time.Duration) {
+	w.tickDt = dt
+	w.tickS = dt.Seconds()
+	if th := w.plat.Thermal; th != nil {
+		w.thermK = 1 - math.Exp(-w.tickS/(th.RthCPerW*th.CthJPerC))
 	}
 }
 
@@ -457,27 +520,26 @@ func (w *world) Step(now, dt time.Duration) {
 			}
 		}
 		w.pendingAff = w.pendingAff[1:]
-		// Affinity feeds the evaluator's cached placement terms, so the
-		// cache is stale as well as the current eval.
-		w.evaluator.Invalidate()
-		w.evalStale = true
+		w.appChanged()
 	}
 	for _, a := range w.apps {
 		if a.MaybeShift(now) {
-			// A profile shift changes the app's cached speedup and spin
-			// terms, not just the current eval.
-			w.evaluator.Invalidate()
-			w.evalStale = true
+			w.appChanged()
 		}
 	}
-	if w.evalStale || now-w.lastEval >= evalPeriod {
+	if w.evalStale {
 		w.refresh(now)
+	} else if now-w.lastEval >= evalPeriod {
+		w.periodicRefresh(now)
+	}
+	if dt != w.tickDt {
+		w.setTick(dt)
 	}
 	for i, a := range w.apps {
-		a.Advance(w.eval.Rates[i], dt)
+		a.Advance(w.eval.Rates[i], w.tickS)
 	}
-	w.energyJ += w.eval.PowerTotal * dt.Seconds()
-	w.stepThermal(dt)
+	w.energyJ += w.eval.PowerTotal * w.tickS
+	w.stepThermal()
 	if now%sensorPeriod == 0 {
 		// Each application emits a heartbeat covering the progress it
 		// made since the last report.
@@ -808,29 +870,6 @@ func (w *world) result(s Scenario) Result {
 	smoothed := metrics.Smooth(w.truePower, 400*time.Millisecond)
 	res.Settling, res.Settled = metrics.SettlingTime(smoothed, metrics.DefaultSettling(s.CapWatts))
 
-	// Performance convergence (the efficiency half of Fig. 1): judged on
-	// the smoothed true aggregate rate.
-	perfTrue := sim.NewSeries("perf_true")
-	perfTrue.Grow(w.truePower.Len())
-	for i, sm := range w.truePower.Samples {
-		total := 0.0
-		for _, tr := range w.rateTrace {
-			if i < tr.Len() {
-				total += tr.Samples[i].V
-			}
-		}
-		perfTrue.Add(sm.T, total)
-	}
-	res.PerfConvergence, res.PerfConverged = metrics.ConvergenceTime(
-		metrics.Smooth(perfTrue, 400*time.Millisecond), 0.05, steadyTail)
-
-	tail := time.Duration(float64(s.Duration) * (1 - steadyTail))
-	res.SteadyRates = make([]float64, len(w.apps))
-	for i, tr := range w.rateTrace {
-		res.SteadyRates[i] = tr.MeanBetween(tail, s.Duration+1)
-	}
-	res.SteadyPower = w.truePower.MeanBetween(tail, s.Duration+1)
-
 	// Cap violations after a 1 s grace period (startup transient),
 	// judged on a longer integration window: the firmware's contract is
 	// energy per averaging window (bursts are compensated within it), and
@@ -848,6 +887,19 @@ func (w *world) result(s Scenario) Result {
 	// Breach time integrates the same judged samples into wall-clock
 	// seconds spent over the cap — the robustness headline metric.
 	res.BreachSeconds = float64(violations) * sensorPeriod.Seconds()
+
+	// Performance convergence (the efficiency half of Fig. 1): judged on
+	// the smoothed true aggregate rate, summed per sample on the fly and
+	// smoothed into the power's scratch series, which is spent.
+	metrics.SmoothSum(smoothed, w.truePower, w.rateTrace, 400*time.Millisecond)
+	res.PerfConvergence, res.PerfConverged = metrics.ConvergenceTime(smoothed, 0.05, steadyTail)
+
+	tail := time.Duration(float64(s.Duration) * (1 - steadyTail))
+	res.SteadyRates = make([]float64, len(w.apps))
+	for i, tr := range w.rateTrace {
+		res.SteadyRates[i] = tr.MeanBetween(tail, s.Duration+1)
+	}
+	res.SteadyPower = w.truePower.MeanBetween(tail, s.Duration+1)
 	res.FaultEvents = w.faults.Events()
 	if w.dog != nil {
 		res.Degradations = w.dog.eventsCopy()

@@ -1,11 +1,15 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pupil/internal/report"
@@ -84,6 +88,59 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 	for _, e := range Experiments() {
 		checkExperimentGolden(t, e.Name)
+	}
+	t.Run("digests", func(t *testing.T) {
+		skipUnlessPinnedFloats(t)
+		checkGolden(t, "digests_quick.txt", gridDigests(t))
+	})
+}
+
+// gridDigests hashes every memoized quick grid at full precision, one line
+// per grid: %v prints a float64 so that it reads back exactly and prints
+// maps in key order, so a change to any low bit of any record changes its
+// line, where the rounded CSV goldens would not notice.
+func gridDigests(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	line := func(name string, d any, err error) {
+		if err != nil {
+			t.Fatalf("%s grid: %v", name, err)
+		}
+		fmt.Fprintf(&b, "%s %x\n", name, sha256.Sum256([]byte(fmt.Sprintf("%v", d))))
+	}
+	ctx, cfg := context.Background(), quickCfg()
+	single, err := singleGrid.get(ctx, cfg, RunOpts{})
+	line("single", single, err)
+	multi, err := multiGrid.get(ctx, cfg, RunOpts{})
+	line("multi", multi, err)
+	chaos, err := chaosGrid.get(ctx, cfg, RunOpts{})
+	line("chaos", chaos, err)
+	cluster, err := clusterGrid.get(ctx, cfg, RunOpts{})
+	line("cluster", cluster, err)
+	hier, err := hierarchyGrid.get(ctx, cfg, RunOpts{})
+	line("hierarchy", hier, err)
+	chaosCluster, err := chaosClusterGrid.get(ctx, cfg, RunOpts{})
+	line("chaoscluster", chaosCluster, err)
+	thermal, err := thermalGrid.get(ctx, cfg, RunOpts{})
+	line("thermal", thermal, err)
+	return b.String()
+}
+
+// skipUnlessPinnedFloats skips a bit-exact check on a host whose
+// floating-point results may differ from the ones its digests were
+// generated on: math.Exp (and so math.Pow) takes an FMA code path on amd64
+// CPUs that have FMA, and other architectures may fuse x*y+z.
+func skipUnlessPinnedFloats(t *testing.T) {
+	t.Helper()
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on linux/amd64 with FMA, not %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") {
+		t.Skip("digests are pinned with FMA enabled; GODEBUG turns it off")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil || !bytes.Contains(info, []byte(" fma ")) {
+		t.Skip("digests are pinned on a CPU with FMA; this one lacks it")
 	}
 }
 

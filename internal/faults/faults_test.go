@@ -8,6 +8,7 @@ import (
 
 	"pupil/internal/machine"
 	"pupil/internal/sim"
+	"pupil/internal/telemetry"
 )
 
 func TestScenarioValidate(t *testing.T) {
@@ -228,7 +229,7 @@ func TestSensorTapStuck(t *testing.T) {
 	inj := NewInjector(Profile{
 		{Kind: KindStuck, Target: TargetPowerSensor, Onset: time.Second, Duration: time.Second},
 	}, sim.NewRNG(1))
-	tap := inj.SensorTap(TargetPowerSensor)
+	tap := inj.SensorTap(TargetPowerSensor, nil)
 
 	if v, ok := tap(0, 50); !ok || v != 50 {
 		t.Fatalf("healthy reading = (%g, %v)", v, ok)
@@ -245,7 +246,7 @@ func TestSensorTapStuckBeforeFirstReading(t *testing.T) {
 	inj := NewInjector(Profile{
 		{Kind: KindStuck, Target: TargetPowerSensor, Duration: time.Second},
 	}, sim.NewRNG(1))
-	tap := inj.SensorTap(TargetPowerSensor)
+	tap := inj.SensorTap(TargetPowerSensor, nil)
 	if _, ok := tap(0, 50); ok {
 		t.Error("sensor stuck from t=0 produced a reading with no prior value")
 	}
@@ -255,7 +256,7 @@ func TestSensorTapDropout(t *testing.T) {
 	inj := NewInjector(Profile{
 		{Kind: KindDropout, Target: TargetPowerSensor, Duration: time.Second, Magnitude: 1},
 	}, sim.NewRNG(1))
-	tap := inj.SensorTap(TargetPowerSensor)
+	tap := inj.SensorTap(TargetPowerSensor, nil)
 	for i := 0; i < 10; i++ {
 		if _, ok := tap(time.Duration(i)*10*time.Millisecond, 50); ok {
 			t.Fatal("probability-1 dropout delivered a reading")
@@ -270,7 +271,7 @@ func TestSensorTapSpike(t *testing.T) {
 	inj := NewInjector(Profile{
 		{Kind: KindSpike, Target: TargetPowerSensor, Duration: time.Second, Magnitude: 1},
 	}, sim.NewRNG(1))
-	tap := inj.SensorTap(TargetPowerSensor)
+	tap := inj.SensorTap(TargetPowerSensor, nil)
 	changed := false
 	for i := 0; i < 20; i++ {
 		v, ok := tap(time.Duration(i)*10*time.Millisecond, 50)
@@ -293,7 +294,7 @@ func TestSensorTapLatency(t *testing.T) {
 	inj := NewInjector(Profile{
 		{Kind: KindLatency, Target: TargetPowerSensor, Onset: 100 * time.Millisecond, Duration: time.Second, Magnitude: 0.05},
 	}, sim.NewRNG(1))
-	tap := inj.SensorTap(TargetPowerSensor)
+	tap := inj.SensorTap(TargetPowerSensor, nil)
 
 	// Build history: value tracks time in ms.
 	for i := 0; i < 10; i++ {
@@ -315,7 +316,7 @@ func TestSensorTapDeterministic(t *testing.T) {
 	}
 	run := func() []float64 {
 		inj := NewInjector(profile, sim.NewRNG(42))
-		tap := inj.SensorTap(TargetPowerSensor)
+		tap := inj.SensorTap(TargetPowerSensor, nil)
 		var out []float64
 		for i := 0; i < 100; i++ {
 			v, ok := tap(time.Duration(i)*10*time.Millisecond, 50)
@@ -330,6 +331,64 @@ func TestSensorTapDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("tap diverged at sample %d: %g vs %g", i, a[i], b[i])
+		}
+	}
+}
+
+// TestSensorTapBorrowsWindow: a tap that borrows its sensor's window as its
+// history behaves exactly as one that keeps its own ring, reading for
+// reading, while faults are scheduled at runtime after the window has
+// wrapped — a latency fault replays readings from before its injection and
+// a stuck fault holds the last good one.
+func TestSensorTapBorrowsWindow(t *testing.T) {
+	faulted := []Scenario{
+		{Kind: KindLatency, Target: TargetPowerSensor, Duration: 2 * time.Second, Magnitude: 0.3},
+		{Kind: KindStuck, Target: TargetPowerSensor, Onset: 4 * time.Second, Duration: time.Second},
+		{Kind: KindDropout, Target: TargetPowerSensor, Onset: 6 * time.Second, Duration: time.Second, Magnitude: 0.4},
+	}
+	type twin struct {
+		inj *Injector
+		sns *telemetry.Sensor
+	}
+	build := func(borrow bool) twin {
+		inj := NewInjector(nil, sim.NewRNG(5))
+		src := 0.0
+		sns := telemetry.NewSensor("power", func() float64 { src++; return src }, 10*time.Millisecond,
+			histCap, telemetry.DefaultPowerNoise(), sim.NewRNG(6))
+		var w *telemetry.Window
+		if borrow {
+			w = sns.Window()
+		}
+		sns.SetTap(inj.SensorTap(TargetPowerSensor, w))
+		return twin{inj, sns}
+	}
+	a, b := build(true), build(false)
+	for i := 1; i <= 2000; i++ {
+		now := time.Duration(i) * 10 * time.Millisecond
+		if i == 1200 {
+			for _, sc := range faulted {
+				sc.Onset += now
+				for _, tw := range []twin{a, b} {
+					if err := tw.inj.Schedule(sc); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		a.sns.Tick(now)
+		b.sns.Tick(now)
+		if ra, rb := a.sns.Window().Last(), b.sns.Window().Last(); ra != rb {
+			t.Fatalf("tick %d: borrowing tap delivered %+v, owning tap %+v", i, ra, rb)
+		}
+	}
+	got := a.sns.Window().Readings(nil)
+	want := b.sns.Window().Readings(nil)
+	if len(got) != len(want) {
+		t.Fatalf("windows hold %d and %d readings", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("reading %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -171,11 +171,18 @@ func (inj *Injector) WindowScale(now time.Duration) float64 {
 // latency replay and the last healthy value for stuck-at. History is a
 // fixed ring — head is the next write slot, n the filled count — so the
 // steady-state sampling path never reallocates.
+//
+// A tap given its sensor's window borrows it as its history instead: until
+// a sensor fault first acts on the target the tap passes every reading
+// through unchanged, so the window holds exactly the readings the ring
+// would, and the tap keeps only its last good value. At that first onset
+// it copies the window into a ring of its own and keeps it from then on.
 type tap struct {
 	inj    *Injector
 	target Target
 	rng    *sim.RNG
 
+	borrowed *telemetry.Window
 	hist     []telemetry.Reading
 	head, n  int
 	lastGood float64
@@ -190,20 +197,46 @@ const histCap = 1024
 // faults for one target. Each call creates independent per-sensor state
 // with its own forked RNG stream, so taps are reproducible regardless of
 // how many sensors share a target.
-func (inj *Injector) SensorTap(target Target) telemetry.Tap {
+//
+// window is the window of the sensor the tap is installed on, before its
+// first reading, or nil for a tap without one (the firmware's power
+// estimate). A window that holds histCap readings serves as the tap's
+// history until a fault first acts; otherwise the tap keeps its own.
+func (inj *Injector) SensorTap(target Target, window *telemetry.Window) telemetry.Tap {
 	t := &tap{
 		inj:    inj,
 		target: target,
 		rng:    inj.rng.Fork("tap-" + string(target) + "-" + itoa(inj.tapN)),
 	}
+	if window != nil && window.Cap() == histCap {
+		t.borrowed = window
+	}
 	inj.tapN++
 	return t.apply
+}
+
+// sensorFaulted reports whether any scenario is in effect on target at t.
+// Only sensor kinds (latency, stuck, spike, dropout) can target a sensor.
+func (inj *Injector) sensorFaulted(t time.Duration, target Target) bool {
+	for _, sc := range inj.scenarios {
+		if sc.Target == target && sc.ActiveAt(t) {
+			return true
+		}
+	}
+	return false
 }
 
 // apply runs the reading through latency, stuck-at, spike and dropout in
 // that order. Faults compose: a stuck sensor that also drops out stays
 // silent; a delayed reading can still spike.
 func (t *tap) apply(now time.Duration, v float64) (float64, bool) {
+	if t.borrowed != nil {
+		if !t.inj.sensorFaulted(now, t.target) {
+			t.lastGood, t.hasGood = v, true
+			return v, true
+		}
+		t.own()
+	}
 	if t.hist == nil {
 		t.hist = make([]telemetry.Reading, histCap)
 	}
@@ -245,6 +278,16 @@ func (t *tap) apply(now time.Duration, v float64) (float64, bool) {
 	return v, true
 }
 
+// own ends the borrowing: the borrowed window's readings, oldest first,
+// become the tap's own ring.
+func (t *tap) own() {
+	h := t.borrowed.Readings(make([]telemetry.Reading, 0, histCap))
+	t.n = len(h)
+	t.hist = h[:histCap]
+	t.head = t.n % histCap
+	t.borrowed = nil
+}
+
 // at returns the newest reading taken at or before tm, scanning the ring
 // newest to oldest.
 func (t *tap) at(tm time.Duration) (float64, bool) {
@@ -266,7 +309,7 @@ func (t *tap) at(tm time.Duration) (float64, bool) {
 func (inj *Injector) WrapActuator(inner rapl.Actuator, sockets int) rapl.Actuator {
 	w := &wrappedActuator{inj: inj, inner: inner, taps: make([]telemetry.Tap, sockets), last: make([]float64, sockets)}
 	for s := 0; s < sockets; s++ {
-		w.taps[s] = inj.SensorTap(TargetRAPLPower)
+		w.taps[s] = inj.SensorTap(TargetRAPLPower, nil)
 	}
 	return w
 }

@@ -54,10 +54,10 @@ func (m *Monitor) Beat(now time.Duration, n float64) error {
 	if m.buf == nil {
 		m.buf = make([]beat, m.size)
 	}
-	idx := (m.head + m.count) % len(m.buf)
+	idx := m.slot(m.count)
 	if m.count == len(m.buf) {
 		// Evict the oldest.
-		m.head = (m.head + 1) % len(m.buf)
+		m.head = m.slot(1)
 		m.count--
 	}
 	m.buf[idx] = beat{t: now, n: n}
@@ -67,7 +67,18 @@ func (m *Monitor) Beat(now time.Duration, n float64) error {
 }
 
 func (m *Monitor) last() beat {
-	return m.buf[(m.head+m.count-1)%len(m.buf)]
+	return m.buf[m.slot(m.count-1)]
+}
+
+// slot is the ring index of the i-th retained beat, oldest first, for
+// 0 <= i <= count: the ring wraps at most once, so a compare replaces the
+// modulo on the per-tick path.
+func (m *Monitor) slot(i int) int {
+	idx := m.head + i
+	if idx >= len(m.buf) {
+		idx -= len(m.buf)
+	}
+	return idx
 }
 
 // Total returns the cumulative progress across all beats ever registered.
@@ -85,7 +96,7 @@ func (m *Monitor) Rate(from, to time.Duration) float64 {
 	// O(retention).
 	sum := 0.0
 	for i := m.count - 1; i >= 0; i-- {
-		b := m.buf[(m.head+i)%len(m.buf)]
+		b := m.buf[m.slot(i)]
 		if b.t <= from {
 			break
 		}

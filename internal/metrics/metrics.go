@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"pupil/internal/sim"
@@ -81,21 +82,37 @@ func SettlingTime(trace *sim.Series, spec SettlingSpec) (settle time.Duration, o
 // the smoothed trace rather than instantaneous samples.
 func Smooth(s *sim.Series, window time.Duration) *sim.Series {
 	out := sim.NewSeries(s.Name + "_smoothed")
-	if s.Len() == 0 {
-		return out
+	SmoothSum(out, s, []*sim.Series{s}, window)
+	return out
+}
+
+// SmoothSum writes into dst, reusing its backing array, the trailing mean
+// over window of the per-sample sum of parts: sample i of the sum is
+// parts[0].Samples[i].V + parts[1].Samples[i].V + …, over the parts that
+// have an i-th sample, timed at times.Samples[i].T. The sum is taken on the
+// fly, so an aggregate of several traces is smoothed without being built.
+func SmoothSum(dst, times *sim.Series, parts []*sim.Series, window time.Duration) {
+	ts := times.Samples
+	at := func(i int) float64 {
+		total := 0.0
+		for _, p := range parts {
+			if i < len(p.Samples) {
+				total += p.Samples[i].V
+			}
+		}
+		return total
 	}
-	out.Grow(s.Len())
+	dst.Samples = slices.Grow(dst.Samples[:0], len(ts))
 	start := 0
 	sum := 0.0
-	for i, sm := range s.Samples {
-		sum += sm.V
-		for s.Samples[start].T < sm.T-window {
-			sum -= s.Samples[start].V
+	for i, sm := range ts {
+		sum += at(i)
+		for ts[start].T < sm.T-window {
+			sum -= at(start)
 			start++
 		}
-		out.Add(sm.T, sum/float64(i-start+1))
+		dst.Samples = append(dst.Samples, sim.Sample{T: sm.T, V: sum / float64(i-start+1)})
 	}
-	return out
 }
 
 // WeightedSpeedup is the paper's multi-application efficiency metric

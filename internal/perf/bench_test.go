@@ -6,13 +6,14 @@ import "testing"
 // `go test -bench . ./internal/perf` and the cmd/bench harness measure the
 // exact same bodies under the exact same names.
 
-func BenchmarkRunnerTick(b *testing.B)      { RunnerTick(b) }
-func BenchmarkSessionAdvance(b *testing.B)  { SessionAdvance(b) }
-func BenchmarkSweepCell(b *testing.B)       { SweepCell(b) }
-func BenchmarkServerTick(b *testing.B)      { ServerTick(b) }
-func BenchmarkManagerRegistry(b *testing.B) { ManagerRegistry(b) }
-func BenchmarkClusterEpoch(b *testing.B)    { ClusterEpoch(b) }
-func BenchmarkRouterPublish(b *testing.B)   { RouterPublish(b) }
+func BenchmarkRunnerTick(b *testing.B)         { RunnerTick(b) }
+func BenchmarkRunnerTickSoftware(b *testing.B) { RunnerTickSoftware(b) }
+func BenchmarkSessionAdvance(b *testing.B)     { SessionAdvance(b) }
+func BenchmarkSweepCell(b *testing.B)          { SweepCell(b) }
+func BenchmarkServerTick(b *testing.B)         { ServerTick(b) }
+func BenchmarkManagerRegistry(b *testing.B)    { ManagerRegistry(b) }
+func BenchmarkClusterEpoch(b *testing.B)       { ClusterEpoch(b) }
+func BenchmarkRouterPublish(b *testing.B)      { RouterPublish(b) }
 
 // Fleet-scale cluster variants. ClusterEpoch100 is part of Suite() and the
 // regression gate; the 1k/10k variants prove the scale claim on demand

@@ -27,6 +27,7 @@ type Benchmark struct {
 func Suite() []Benchmark {
 	return []Benchmark{
 		{Name: "BenchmarkRunnerTick", Fn: RunnerTick},
+		{Name: "BenchmarkRunnerTickSoftware", Fn: RunnerTickSoftware},
 		{Name: "BenchmarkSessionAdvance", Fn: SessionAdvance},
 		{Name: "BenchmarkSweepCell", Fn: SweepCell},
 		{Name: "BenchmarkServerTick", Fn: ServerTick},
@@ -63,8 +64,31 @@ func tickScenario() driver.Scenario {
 // The session retains one op's window, as a pupild node retains its tick,
 // so its traces stop growing once warm and bytes/op does not depend on
 // b.N.
-func RunnerTick(b *testing.B) {
-	sess, err := driver.NewSession(tickScenario())
+func RunnerTick(b *testing.B) { runnerTick(b, tickScenario()) }
+
+// RunnerTickSoftware is RunnerTick for a software-only technique on an
+// application without workload phases: Soft-DVFS capping blackscholes at
+// 140 W. With no phase and no firmware rewriting the operating point, most
+// periodic model refreshes have no input that moved, so this is the tick
+// path the refresh rule shortens most.
+func RunnerTickSoftware(b *testing.B) {
+	prof, err := workload.ByName("blackscholes")
+	if err != nil {
+		b.Fatal(err)
+	}
+	runnerTick(b, driver.Scenario{
+		Platform:   machine.E52690Server(),
+		Specs:      []workload.Spec{{Profile: prof, Threads: 32}},
+		CapWatts:   140,
+		Controller: control.NewSoftDVFS(),
+		Seed:       42,
+	})
+}
+
+// runnerTick is the body of the tick benchmarks: past the startup
+// transient, one op advances a retained session of sc by 100 ms.
+func runnerTick(b *testing.B, sc driver.Scenario) {
+	sess, err := driver.NewSession(sc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,11 +308,8 @@ func scaleCluster(n int, topo *server.ClusterTopologyConfig) (*server.Cluster, e
 
 // clusterEpochScale is the shared body of the fleet-scale variants: one op
 // steps an n-node hierarchical cluster one coordinator epoch. Node sessions
-// keep a trailing window that the warm-up fills, and the horizon is known
-// (b.N epochs of 100 ms), so the coordinator's own cap and domain traces
-// are pre-grown outside the timer — otherwise their amortized doubling
-// makes allocs/op a function of b.N and the number useless for regression
-// gating.
+// and the coordinator's own cap and domain traces keep a trailing window
+// that the warm-up fills, so allocs/op does not depend on b.N.
 func clusterEpochScale(b *testing.B, n int, topo *server.ClusterTopologyConfig) {
 	c, err := scaleCluster(n, topo)
 	if err != nil {
@@ -303,7 +324,6 @@ func clusterEpochScale(b *testing.B, n int, topo *server.ClusterTopologyConfig) 
 			b.Fatal("cluster stopped during warm-up")
 		}
 	}
-	c.GrowTraces(time.Duration(b.N+1) * 100 * time.Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -85,6 +85,15 @@ type Firmware struct {
 	usedJ       float64
 	lastTick    time.Duration
 
+	// Seconds conversions hoisted off the sub-interval path: the window
+	// (changed only by SetWindow), half the sub-interval, and the last
+	// elapsed time between ticks, which is the sub-interval except after a
+	// cap write.
+	windowS  float64
+	halfSubS float64
+	dt       time.Duration
+	dtS      float64
+
 	// Current operating point.
 	freqIdx int
 	duty    float64
@@ -95,13 +104,15 @@ type Firmware struct {
 // stream so estimator noise is reproducible.
 func NewFirmware(p *machine.Platform, socket int, act Actuator, cfg Config, rng *sim.RNG) *Firmware {
 	return &Firmware{
-		plat:    p,
-		socket:  socket,
-		act:     act,
-		cfg:     cfg,
-		rng:     rng,
-		freqIdx: p.NumFreqSettings() - 1,
-		duty:    1,
+		plat:     p,
+		socket:   socket,
+		act:      act,
+		cfg:      cfg,
+		rng:      rng,
+		freqIdx:  p.NumFreqSettings() - 1,
+		duty:     1,
+		windowS:  cfg.Window.Seconds(),
+		halfSubS: cfg.SubInterval.Seconds() / 2,
 	}
 }
 
@@ -147,6 +158,7 @@ func (f *Firmware) SetWindow(now time.Duration, window time.Duration) {
 		return
 	}
 	f.cfg.Window = window
+	f.windowS = window.Seconds()
 	f.windowStart = now
 	f.usedJ = 0
 }
@@ -164,11 +176,13 @@ func (f *Firmware) Tick(now time.Duration) {
 	if !f.started || f.capW <= 0 {
 		return
 	}
-	dt := now - f.lastTick
+	if dt := now - f.lastTick; dt != f.dt {
+		f.dt, f.dtS = dt, dt.Seconds()
+	}
 	f.lastTick = now
 
 	est := f.estimate()
-	f.usedJ += est * dt.Seconds()
+	f.usedJ += est * f.dtS
 
 	// Roll the averaging window.
 	if now-f.windowStart >= f.cfg.Window {
@@ -182,11 +196,11 @@ func (f *Firmware) Tick(now time.Duration) {
 	// Target power for the rest of the window so the window's total
 	// energy meets cap*window.
 	elapsed := (now - f.windowStart).Seconds()
-	remainT := f.cfg.Window.Seconds() - elapsed
-	if remainT <= f.cfg.SubInterval.Seconds()/2 {
-		remainT = f.cfg.SubInterval.Seconds() / 2
+	remainT := f.windowS - elapsed
+	if remainT <= f.halfSubS {
+		remainT = f.halfSubS
 	}
-	budgetJ := f.capW*f.cfg.Window.Seconds() - f.usedJ
+	budgetJ := f.capW*f.windowS - f.usedJ
 	target := budgetJ / remainT
 	if target < 0 {
 		target = 0

@@ -83,13 +83,13 @@ func TestFirmwareConvergesQuickly(t *testing.T) {
 		r.Register(fws[s])
 	}
 	var settled time.Duration
-	r.RunUntil(2*time.Second, func(now time.Duration) bool {
+	for r.Clock.Now() < 2*time.Second {
+		r.Run(sim.Tick)
 		if b.totalPower() <= 140*1.02 {
-			settled = now
-			return true
+			settled = r.Clock.Now()
+			break
 		}
-		return false
-	})
+	}
 	if settled == 0 || settled > 600*time.Millisecond {
 		t.Errorf("firmware settled at %v, want under 600ms", settled)
 	}

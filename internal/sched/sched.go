@@ -229,7 +229,7 @@ type SpinState struct {
 // (Table 6). Sections that overrun the threshold turn the app's sibling
 // threads into full-power spinners, and under oversubscription lock-holder
 // preemption amplifies the dilation further — RAPL's 15-54% spin.
-func Spin(p workload.Profile, parEff, oversub, fRel float64, spanning bool) SpinState {
+func Spin(p *workload.Profile, parEff, oversub, fRel float64, spanning bool) SpinState {
 	if p.Sync != workload.SyncPolling || p.SerialFrac <= 0 {
 		// Blocking synchronization still serializes (captured by the
 		// profile's Sigma) but yields the CPU: no spin, no dilation

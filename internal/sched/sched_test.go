@@ -140,7 +140,7 @@ func TestPlaceEmpty(t *testing.T) {
 
 func TestSpinBlockingAppsDoNotSpin(t *testing.T) {
 	p, _ := workload.ByName("x264") // blocking sync
-	s := Spin(p, 0.5, 4, 0.4, true)
+	s := Spin(&p, 0.5, 4, 0.4, true)
 	if s.Frac != 0 || s.RateMult != 1 {
 		t.Errorf("blocking app spin = %+v, want none", s)
 	}
@@ -151,7 +151,7 @@ func TestSpinBlockingAppsDoNotSpin(t *testing.T) {
 // PUPiL side of Table 6 (0.23-0.48% spin).
 func TestSpinThresholdAbsorbsFastSections(t *testing.T) {
 	p, _ := workload.ByName("kmeans")
-	s := Spin(p, 0.97, 4, 1.2, false)
+	s := Spin(&p, 0.97, 4, 1.2, false)
 	if s.Frac > 0.01 {
 		t.Errorf("fast uncontended sections should not spin, got frac %g", s.Frac)
 	}
@@ -164,8 +164,8 @@ func TestSpinGrowsWithOversubscription(t *testing.T) {
 	p, _ := workload.ByName("kmeans")
 	// Cross-socket bouncing at a throttled clock pushes sections past the
 	// spin budget; preemption then amplifies with oversubscription.
-	low := Spin(p, 0.9, 1, 0.4, true)
-	high := Spin(p, 0.9, 4, 0.4, true)
+	low := Spin(&p, 0.9, 1, 0.4, true)
+	high := Spin(&p, 0.9, 4, 0.4, true)
 	if high.Frac <= low.Frac {
 		t.Errorf("spin fraction should grow with oversubscription: %g -> %g", low.Frac, high.Frac)
 	}
@@ -176,8 +176,8 @@ func TestSpinGrowsWithOversubscription(t *testing.T) {
 
 func TestSpinGrowsWhenSpanningSockets(t *testing.T) {
 	p, _ := workload.ByName("kmeans")
-	within := Spin(p, 0.9, 1, 0.6, false)
-	across := Spin(p, 0.9, 1, 0.6, true)
+	within := Spin(&p, 0.9, 1, 0.6, false)
+	across := Spin(&p, 0.9, 1, 0.6, true)
 	if across.Frac <= within.Frac {
 		t.Errorf("spanning sockets should inflate spin: %g -> %g", within.Frac, across.Frac)
 	}
@@ -185,8 +185,8 @@ func TestSpinGrowsWhenSpanningSockets(t *testing.T) {
 
 func TestSpinGrowsAsClockDrops(t *testing.T) {
 	p, _ := workload.ByName("dijkstra")
-	fast := Spin(p, 0.7, 4, 1.0, true)
-	slow := Spin(p, 0.7, 4, 0.4, true)
+	fast := Spin(&p, 0.7, 4, 1.0, true)
+	slow := Spin(&p, 0.7, 4, 0.4, true)
 	if slow.Frac <= fast.Frac {
 		t.Errorf("throttling the clock should inflate spin: %g -> %g", fast.Frac, slow.Frac)
 	}
@@ -194,7 +194,7 @@ func TestSpinGrowsAsClockDrops(t *testing.T) {
 
 func TestSpinBounded(t *testing.T) {
 	p, _ := workload.ByName("dijkstra")
-	s := Spin(p, 0.05, 10, 0.05, true)
+	s := Spin(&p, 0.05, 10, 0.05, true)
 	if s.Frac > MaxSpinFrac {
 		t.Errorf("spin fraction %g exceeds bound %g", s.Frac, MaxSpinFrac)
 	}

@@ -441,19 +441,6 @@ func (c *Cluster) Status() ClusterStatus {
 	return st
 }
 
-// GrowTraces preallocates the coordinator's cap and domain traces for d of
-// further simulated time. Harnesses that know how many epochs they will
-// step (the perf benchmarks do) use it so the measured steady state is free
-// of trace reallocation; node sessions keep a trailing window that stops
-// growing once warm, so they need none.
-func (c *Cluster) GrowTraces(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != StateFailed {
-		c.coord.GrowTraces(d)
-	}
-}
-
 // step runs one coordinator epoch and builds its sample.
 func (c *Cluster) step(epoch uint64) (ClusterSample, time.Duration, error) {
 	if err := c.coord.Step(c.tickSim); err != nil {
@@ -718,6 +705,10 @@ func buildCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
+	// The served cluster reads its coordinator only through trailing
+	// means over one epoch and never asks for its Result, so the
+	// coordinator's own traces keep only that window.
+	coord.Retain(epochSim)
 	c.coord = coord
 	c.healthOn = cfg.Health != nil
 	c.nodeDomains = coord.NodeDomains()

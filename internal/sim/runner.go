@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 )
@@ -75,14 +76,7 @@ func (r *Runner) Register(ts ...Ticker) {
 // Run advances the simulation by d. The world steps once per kernel Tick,
 // then every ticker whose period divides the new time fires.
 func (r *Runner) Run(d time.Duration) {
-	r.RunUntil(d, nil)
-}
-
-// RunUntil advances the simulation by at most d, stopping early the first
-// time stop (evaluated after each tick) returns true. A nil stop never
-// stops early.
-func (r *Runner) RunUntil(d time.Duration, stop func(now time.Duration) bool) {
-	_ = r.run(nil, d, stop)
+	_ = r.run(nil, d)
 }
 
 // RunContext advances the simulation by d like Run, but aborts between
@@ -90,34 +84,48 @@ func (r *Runner) RunUntil(d time.Duration, stop func(now time.Duration) bool) {
 // hook that lets a cancelled or failed sweep stop a simulation mid-run
 // instead of finishing the cell.
 func (r *Runner) RunContext(ctx context.Context, d time.Duration) error {
-	return r.run(ctx, d, nil)
+	return r.run(ctx, d)
 }
 
-// run is the kernel loop. A nil ctx (the legacy Run/RunUntil paths) is
-// never cancelled.
+// run is the kernel loop. A nil ctx (Run) is never cancelled.
 //
-// The per-tick check is a non-blocking receive on ctx.Done(), taken once
-// per call, and ctx.Err() is read only after that channel has closed: a
-// cancellable context's Err locks the context's mutex, and all workers of
-// a sweep share one context, so an Err per tick would contend that mutex
-// across the workers every simulated millisecond. A nil Done channel (a nil
-// or never-cancelled ctx) never becomes ready.
-func (r *Runner) run(ctx context.Context, d time.Duration, stop func(now time.Duration) bool) error {
+// Between two ticker firings only the world changes, so the loop steps it
+// tick by tick straight to the earliest nextDue (or the end of the run)
+// without looking at the tickers, and checks the context once per such
+// stretch: a ticker is what cancels (a controller, a sweep's failed cell),
+// so the first check after its firing sees it before the kernel advances
+// further.
+//
+// The check is a non-blocking receive on ctx.Done(), taken once per call,
+// and ctx.Err() is read only after that channel has closed: a cancellable
+// context's Err locks the context's mutex, and all workers of a sweep share
+// one context, so an Err per check would contend that mutex across the
+// workers. A nil Done channel (a nil or never-cancelled ctx) never becomes
+// ready.
+func (r *Runner) run(ctx context.Context, d time.Duration) error {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	end := r.Clock.Now() + d
-	for r.Clock.Now() < end {
+	now := r.Clock.Now()
+	end := now + d
+	next := r.nextDue()
+	for now < end {
 		select {
 		case <-done:
 			return ctx.Err()
 		default:
 		}
-		r.Clock.Advance(Tick)
-		now := r.Clock.Now()
-		if r.World != nil {
-			r.World.Step(now, Tick)
+		stop := min(next, end)
+		for now < stop {
+			r.Clock.Advance(Tick)
+			now = r.Clock.Now()
+			if r.World != nil {
+				r.World.Step(now, Tick)
+			}
+		}
+		if now < next {
+			continue
 		}
 		for i := range r.tickers {
 			if st := &r.tickers[i]; now >= st.nextDue {
@@ -125,9 +133,17 @@ func (r *Runner) run(ctx context.Context, d time.Duration, stop func(now time.Du
 				st.t.Tick(now)
 			}
 		}
-		if stop != nil && stop(now) {
-			return nil
-		}
+		next = r.nextDue()
 	}
 	return nil
+}
+
+// nextDue is the earliest time any ticker fires next; with no tickers it
+// never comes.
+func (r *Runner) nextDue() time.Duration {
+	next := time.Duration(math.MaxInt64)
+	for i := range r.tickers {
+		next = min(next, r.tickers[i].nextDue)
+	}
+	return next
 }

@@ -3,7 +3,9 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -245,11 +247,60 @@ type tickFunc struct {
 func (t tickFunc) Period() time.Duration  { return t.p }
 func (t tickFunc) Tick(now time.Duration) { t.f(now) }
 
+// TestRunnerStopsEarly steps a run one kernel tick at a time, the way a
+// caller stops on a condition of the world: each Run(Tick) advances exactly
+// one tick, so the run stops on the tick the condition first holds.
 func TestRunnerStopsEarly(t *testing.T) {
-	r := NewRunner(&countingWorld{})
-	r.RunUntil(time.Second, func(now time.Duration) bool { return now >= 50*time.Millisecond })
+	w := &countingWorld{}
+	r := NewRunner(w)
+	r.Register(tickFunc{p: 7 * time.Millisecond, f: func(time.Duration) {}})
+	for r.Clock.Now() < time.Second && w.steps < 50 {
+		r.Run(Tick)
+	}
 	if r.Clock.Now() != 50*time.Millisecond {
 		t.Errorf("stopped at %v, want 50ms", r.Clock.Now())
+	}
+}
+
+// logWorld records every physics step the kernel takes.
+type logWorld struct{ log *[]string }
+
+func (w logWorld) Step(now, dt time.Duration) {
+	*w.log = append(*w.log, fmt.Sprintf("step %v %v", now, dt))
+}
+
+// TestRunnerStepsToNextTicker checks that stepping the world straight to
+// the next firing changes nothing observable: over uneven advances, every
+// Step and every firing happens at the same instants, in the same order,
+// as when the run is driven one kernel tick at a time.
+func TestRunnerStepsToNextTicker(t *testing.T) {
+	trace := func(advance func(r *Runner)) []string {
+		var log []string
+		r := NewRunner(logWorld{&log})
+		for _, p := range []time.Duration{10 * time.Millisecond, 5 * time.Millisecond, 7 * time.Millisecond, 1500 * time.Microsecond} {
+			name := p.String()
+			r.Register(tickFunc{p: p, f: func(now time.Duration) { log = append(log, "tick "+name+" "+now.String()) }})
+		}
+		advance(r)
+		return log
+	}
+	steps := []time.Duration{time.Millisecond, 7 * time.Millisecond, 333 * time.Millisecond, 2500 * time.Millisecond, 0, 41 * time.Millisecond}
+	total := time.Duration(0)
+	for _, d := range steps {
+		total += d
+	}
+	want := trace(func(r *Runner) {
+		for r.Clock.Now() < total {
+			r.Run(Tick)
+		}
+	})
+	got := trace(func(r *Runner) {
+		for _, d := range steps {
+			r.Run(d)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("stepping to the next ticker diverged from tick-by-tick:\n got %d events\nwant %d events", len(got), len(want))
 	}
 }
 

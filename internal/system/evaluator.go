@@ -48,10 +48,10 @@ type Evaluator struct {
 	placer     sched.Placer
 	pl         sched.Placement
 	capacity   []float64
+	speedup    []float64 // per-app USL speedup at its effective parallelism
 	spins      []sched.SpinState
 	appSpan    []bool
 	steal      float64
-	stealApp   []float64
 	availBW    float64
 	capable    []float64 // per-core-bandwidth capability per app
 	compBase   []float64 // compute rate before the workload phase factor
@@ -99,9 +99,9 @@ func NewEvaluator(p *machine.Platform, apps []*workload.Instance) *Evaluator {
 		cfgFreq:     make([]int, ns),
 		cfgDuty:     f(ns),
 		capacity:    f(n),
+		speedup:     f(n),
 		spins:       make([]sched.SpinState, n),
 		appSpan:     bs[:n:n],
-		stealApp:    f(n),
 		capable:     f(n),
 		compBase:    f(n),
 		rates:       f(n),
@@ -139,6 +139,15 @@ func (e *Evaluator) Eval(cfg machine.Config, now time.Duration) Eval {
 // changes never invalidate the configuration-keyed static cache. A nil or
 // short slice leaves the missing sockets unmodeled (zero).
 func (e *Evaluator) EvalAt(cfg machine.Config, now time.Duration, tempsC []float64) Eval {
+	var ev Eval
+	e.EvalInto(&ev, cfg, now, tempsC)
+	return ev
+}
+
+// EvalInto is EvalAt writing the result into dst, for a caller that keeps
+// one Eval across refreshes instead of copying a returned one. dst's
+// slices alias the evaluator's buffers, as a returned Eval's do.
+func (e *Evaluator) EvalInto(dst *Eval, cfg machine.Config, now time.Duration, tempsC []float64) {
 	for s := range e.tempQ {
 		if s < len(tempsC) {
 			e.tempQ[s] = QuantizeTempC(tempsC[s])
@@ -149,12 +158,17 @@ func (e *Evaluator) EvalAt(cfg machine.Config, now time.Duration, tempsC []float
 	if !e.valid || !cfg.Equal(e.key) {
 		e.rebuild(cfg)
 	}
-	return e.dynamic(now)
+	e.dynamic(dst, now)
 }
 
-// rebuild recomputes every configuration-invariant term, in the exact
-// arithmetic order Evaluate uses.
+// rebuild recomputes the configuration-invariant terms, in the exact
+// arithmetic order Evaluate uses. When the cache is valid and cfg differs
+// from its key only in per-socket speed — the firmware moving its
+// operating point, a DVFS request — placement, spanning, capacity, speedup
+// and the power model's load terms stay, and only the terms that depend
+// on the relative frequency are recomputed.
 func (e *Evaluator) rebuild(raw machine.Config) {
+	speedOnly := e.valid && sameShape(raw, e.key)
 	e.keyFreq = append(e.keyFreq[:0], raw.Freq...)
 	e.keyDuty = append(e.keyDuty[:0], raw.Duty...)
 	e.key = raw
@@ -163,24 +177,37 @@ func (e *Evaluator) rebuild(raw machine.Config) {
 	e.valid = true
 	cfg := raw.NormalizeInto(e.plat, e.cfgFreq, e.cfgDuty)
 	e.cfg = cfg
-	p := e.plat
-	apps := e.apps
-	n := len(apps)
+	e.fGHz = cfg.MeanGHz(e.plat)
+	e.fRel = e.fGHz / e.plat.BaseGHz()
 
-	e.totalCores = cfg.TotalCores()
-	hwThreads := cfg.HWThreads()
-	spanning := cfg.Sockets > 1
-	e.fGHz = cfg.MeanGHz(p)
-	e.fRel = e.fGHz / p.BaseGHz()
-
-	if n == 0 {
+	if len(e.apps) == 0 {
 		return
 	}
+	if !speedOnly {
+		e.place(cfg)
+	}
+	e.rebuildSpeed(cfg)
+}
 
-	e.pl = e.placer.Place(apps, e.totalCores, hwThreads)
+// sameShape reports whether two configurations differ at most in their
+// per-socket speed settings (Freq and Duty values, not lengths).
+func sameShape(a, b machine.Config) bool {
+	return a.Cores == b.Cores && a.Sockets == b.Sockets && a.HT == b.HT && a.MemCtls == b.MemCtls &&
+		len(a.Freq) == len(b.Freq) && len(a.Duty) == len(b.Duty)
+}
+
+// place computes the terms that depend on the configuration's shape but
+// not its speed: thread placement, spanning, capacity, each app's speedup,
+// and the power model's load terms that do not depend on achieved
+// bandwidth (busy cores, the stall denominator, the HT share).
+func (e *Evaluator) place(cfg machine.Config) {
+	apps := e.apps
+	e.totalCores = cfg.TotalCores()
+	spanning := cfg.Sockets > 1
+	e.pl = e.placer.Place(apps, e.totalCores, cfg.HWThreads())
 	pl := e.pl
 
-	// Per-app effective parallelism and spin behaviour (see Evaluate).
+	// Per-app effective parallelism (see Evaluate).
 	for i, a := range apps {
 		cores := pl.CoreAlloc[i]
 		e.appSpan[i] = spanning
@@ -197,52 +224,9 @@ func (e *Evaluator) rebuild(raw machine.Config) {
 		}
 		e.capacity[i] = cores * htFactor
 		nEff := math.Min(float64(a.Threads), e.capacity[i])
-		parEff := 1.0
-		if nEff > 1 {
-			parEff = a.Profile.Speedup(nEff, e.appSpan[i]) / nEff
-		}
-		e.spins[i] = sched.Spin(a.Profile, parEff, pl.Oversub, e.fRel, e.appSpan[i])
-		e.perAppSpin[i] = e.spins[i].Frac
+		e.speedup[i] = a.Profile.Speedup(nEff, e.appSpan[i])
 	}
 
-	steal := sched.SpinStealInto(e.stealApp, e.spins, pl.CoreAlloc, float64(e.totalCores), apps)
-	stealPerApp := e.stealApp
-	e.steal = steal
-	stealGate := clamp01(pl.Oversub - 1)
-
-	// Compute-side rate per app, up to but excluding the phase factor —
-	// the only time-dependent term. The multiplication order matches
-	// Evaluate's left-associated chain exactly, with PhaseFactor applied
-	// last in dynamic(), so the product is bit-identical.
-	for i, a := range apps {
-		e.compBase[i] = 0
-		usefulScale := 1 - (steal-stealPerApp[i])*stealGate*sched.SpinVictimCost
-		if usefulScale < 0.1 {
-			usefulScale = 0.1
-		}
-		nEff := math.Min(float64(a.Threads), e.capacity[i])
-		if nEff <= 0 {
-			continue
-		}
-		speedup := a.Profile.Speedup(nEff, e.appSpan[i])
-		e.compBase[i] = a.Profile.BaseRate * e.fRel * speedup * usefulScale *
-			pl.OversubFactor * e.spins[i].RateMult
-	}
-
-	availBW := p.TotalBWGBs(cfg.MemCtls)
-	availBW *= 1 - math.Min(0.5, steal*sched.SpinBWPollution)
-	e.availBW = availBW
-	perCoreBW := p.PerCoreBWGBs * (memFreqFloor + (1-memFreqFloor)*e.fRel)
-	for i, a := range apps {
-		capable := pl.CoreAlloc[i] * perCoreBW
-		if cfg.HT {
-			capable *= 1 - htBWPenalty*a.Profile.MemIntensity
-		}
-		e.capable[i] = capable
-	}
-
-	// The power model's load terms that do not depend on achieved
-	// bandwidth: busy cores and the stall denominator.
 	busyCores := 0.0
 	stallDen := 0.0
 	for i := range apps {
@@ -262,27 +246,82 @@ func (e *Evaluator) rebuild(raw machine.Config) {
 	}
 }
 
+// rebuildSpeed computes the terms that depend on the relative frequency
+// over the placement terms: spin behaviour, spin steal, the compute-side
+// base rate and the bandwidth capability.
+func (e *Evaluator) rebuildSpeed(cfg machine.Config) {
+	p := e.plat
+	apps := e.apps
+	pl := e.pl
+
+	for i, a := range apps {
+		nEff := math.Min(float64(a.Threads), e.capacity[i])
+		parEff := 1.0
+		if nEff > 1 {
+			parEff = e.speedup[i] / nEff
+		}
+		e.spins[i] = sched.Spin(&a.Profile, parEff, pl.Oversub, e.fRel, e.appSpan[i])
+		e.perAppSpin[i] = e.spins[i].Frac
+	}
+
+	// The per-app steal is needed only here, so it borrows dynamic's
+	// compute scratch, which dynamic rewrites before reading.
+	stealPerApp := e.compute
+	steal := sched.SpinStealInto(stealPerApp, e.spins, pl.CoreAlloc, float64(e.totalCores), apps)
+	e.steal = steal
+	stealGate := clamp01(pl.Oversub - 1)
+
+	// Compute-side rate per app, up to but excluding the phase factor —
+	// the only time-dependent term. The multiplication order matches
+	// Evaluate's left-associated chain exactly, with PhaseFactor applied
+	// last in dynamic(), so the product is bit-identical.
+	for i, a := range apps {
+		e.compBase[i] = 0
+		usefulScale := 1 - (steal-stealPerApp[i])*stealGate*sched.SpinVictimCost
+		if usefulScale < 0.1 {
+			usefulScale = 0.1
+		}
+		nEff := math.Min(float64(a.Threads), e.capacity[i])
+		if nEff <= 0 {
+			continue
+		}
+		e.compBase[i] = a.Profile.BaseRate * e.fRel * e.speedup[i] * usefulScale *
+			pl.OversubFactor * e.spins[i].RateMult
+	}
+
+	availBW := p.TotalBWGBs(cfg.MemCtls)
+	availBW *= 1 - math.Min(0.5, steal*sched.SpinBWPollution)
+	e.availBW = availBW
+	perCoreBW := p.PerCoreBWGBs * (memFreqFloor + (1-memFreqFloor)*e.fRel)
+	for i, a := range apps {
+		capable := pl.CoreAlloc[i] * perCoreBW
+		if cfg.HT {
+			capable *= 1 - htBWPenalty*a.Profile.MemIntensity
+		}
+		e.capable[i] = capable
+	}
+}
+
 // dynamic computes the time-dependent half of the model over the cached
-// static terms: workload phases, bandwidth sharing, rate blending, and
-// power.
-func (e *Evaluator) dynamic(now time.Duration) Eval {
+// static terms into ev: workload phases, bandwidth sharing, rate blending,
+// and power.
+func (e *Evaluator) dynamic(ev *Eval, now time.Duration) {
 	p := e.plat
 	cfg := e.cfg
 	apps := e.apps
 	n := len(apps)
-	ev := Eval{
-		Rates:      e.rates,
-		PerAppSpin: e.perAppSpin,
-		PerAppBW:   e.perAppBW,
-		Loads:      e.loads,
-	}
+	ev.Rates = e.rates
+	ev.PerAppSpin = e.perAppSpin
+	ev.PerAppBW = e.perAppBW
+	ev.Loads = e.loads
+	ev.PowerSocket = e.powerSocket
+	ev.SpinFrac, ev.MemBWGBs, ev.GIPS = 0, 0, 0
 	if n == 0 {
 		for s := range e.loads {
 			e.loads[s] = machine.SocketLoad{TempC: e.tempQ[s]}
 		}
 		ev.PowerTotal = p.PowerInto(e.powerSocket, cfg, e.loads)
-		ev.PowerSocket = e.powerSocket
-		return ev
+		return
 	}
 	ev.SpinFrac = e.steal
 
@@ -360,6 +399,4 @@ func (e *Evaluator) dynamic(now time.Duration) Eval {
 		e.loads[s].TempC = e.tempQ[s]
 	}
 	ev.PowerTotal = p.PowerInto(e.powerSocket, cfg, e.loads)
-	ev.PowerSocket = e.powerSocket
-	return ev
 }

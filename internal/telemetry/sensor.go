@@ -56,6 +56,17 @@ func (w *Window) Add(r Reading) {
 // Len returns the number of retained readings.
 func (w *Window) Len() int { return w.count }
 
+// Cap returns how many readings the window retains at most.
+func (w *Window) Cap() int { return w.cap }
+
+// Readings appends the retained readings to dst, oldest first.
+func (w *Window) Readings(dst []Reading) []Reading {
+	for i := 0; i < w.count; i++ {
+		dst = append(dst, w.at(i))
+	}
+	return dst
+}
+
 // at returns the i-th retained reading, oldest first.
 func (w *Window) at(i int) Reading {
 	idx := w.head + i

@@ -81,10 +81,10 @@ func NewInstances(specs []Spec) ([]*Instance, error) {
 	return out, nil
 }
 
-// Advance integrates rate over dt into the instance's progress.
-func (in *Instance) Advance(rate float64, dt time.Duration) {
+// Advance integrates rate over dtS seconds into the instance's progress.
+func (in *Instance) Advance(rate, dtS float64) {
 	in.LastRate = rate
-	in.Progress += rate * dt.Seconds()
+	in.Progress += rate * dtS
 }
 
 // MaybeShift applies the instance's scheduled behaviour change once its

@@ -149,7 +149,7 @@ func (p Profile) Speedup(n float64, spanning bool) float64 {
 
 // PhaseFactor returns the multiplicative intrinsic-rate modulation at
 // simulated time now, centered on 1.
-func (p Profile) PhaseFactor(now time.Duration) float64 {
+func (p *Profile) PhaseFactor(now time.Duration) float64 {
 	if p.PhaseAmp == 0 || p.PhasePeriod <= 0 {
 		return 1
 	}

@@ -269,8 +269,8 @@ func TestInstanceAdvance(t *testing.T) {
 	p, _ := ByName("swaptions")
 	apps, _ := NewInstances([]Spec{{Profile: p, Threads: 4}})
 	in := apps[0]
-	in.Advance(10, 500*time.Millisecond)
-	in.Advance(20, 500*time.Millisecond)
+	in.Advance(10, 0.5)
+	in.Advance(20, 0.5)
 	if math.Abs(in.Progress-15) > 1e-9 {
 		t.Errorf("Progress = %g, want 15", in.Progress)
 	}
