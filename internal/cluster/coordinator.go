@@ -71,6 +71,11 @@ type Coordinator struct {
 	// the sweep cells, read post-sweep.
 	stepped  []bool
 	panicked []bool
+	// means holds each node's trailing-epoch means and the session time
+	// they were taken at: stepNode fills them on the worker pool after its
+	// advance, and the demand report, SnapshotInto and Result read them
+	// while the session has not moved since.
+	means []nodeMeans
 
 	// Cluster-scoped fault schedule and the health layer (hcfg nil when
 	// health tracking is disabled).
@@ -139,6 +144,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		skew:        make([]time.Duration, n),
 		stepped:     make([]bool, n),
 		panicked:    make([]bool, n),
+		means:       make([]nodeMeans, n),
 		chaos:       chaosState{nodes: make([]nodeChaos, n)},
 	}
 	if cfg.Health != nil {
@@ -246,12 +252,36 @@ func (c *Coordinator) stepNode(ctx context.Context, i int, s *driver.Session) (e
 		delta = c.stepD
 	}
 	c.stepped[i] = true
-	d := s.MeanPower(delta)
+	power, rate := s.MeanPower(c.cfg.Epoch), s.MeanRate(c.cfg.Epoch)
+	c.means[i] = nodeMeans{at: s.Now(), power: power, rate: rate, set: true}
+	d := power
+	if delta != c.cfg.Epoch {
+		d = s.MeanPower(delta)
+	}
 	if scale := c.chaos.demandScaleAt(i, target); scale != 1 {
 		d *= scale
 	}
 	c.demand[i] = d
 	return nil
+}
+
+// nodeMeans is one node's mean power and rate over the trailing epoch,
+// taken at session time at.
+type nodeMeans struct {
+	at          time.Duration
+	power, rate float64
+	set         bool
+}
+
+// epochMeans returns node i's mean power and rate over the trailing epoch:
+// the means stepNode took, unless the session has moved since (a
+// cancelled step's residue), in which case they are computed afresh.
+func (c *Coordinator) epochMeans(i int) (power, rate float64) {
+	s := c.sessions[i]
+	if m := c.means[i]; m.set && m.at == s.Now() {
+		return m.power, m.rate
+	}
+	return s.MeanPower(c.cfg.Epoch), s.MeanRate(c.cfg.Epoch)
 }
 
 // Now returns the cluster's simulated time.
@@ -682,13 +712,9 @@ func (c *Coordinator) SnapshotInto(sn *Snapshot) {
 		sn.Nodes = make([]NodeSnapshot, n)
 	}
 	sn.Nodes = sn.Nodes[:n]
-	for i, s := range c.sessions {
-		ns := NodeSnapshot{
-			Name:      c.cfg.Nodes[i].Name,
-			CapWatts:  c.assigned[i],
-			MeanPower: s.MeanPower(c.cfg.Epoch),
-			MeanRate:  s.MeanRate(c.cfg.Epoch),
-		}
+	for i := range c.sessions {
+		ns := NodeSnapshot{Name: c.cfg.Nodes[i].Name, CapWatts: c.assigned[i]}
+		ns.MeanPower, ns.MeanRate = c.epochMeans(i)
 		if c.hcfg != nil {
 			ns.Health = c.health[i].state
 			if c.benched(i) {
@@ -825,13 +851,9 @@ func (c *Coordinator) Result() *Result {
 		}
 		res.DomainTrace = c.domainTrace
 	}
-	for i, s := range c.sessions {
-		nr := NodeResult{
-			Name:      c.cfg.Nodes[i].Name,
-			FinalCap:  c.assigned[i],
-			MeanPower: s.MeanPower(c.cfg.Epoch),
-			MeanRate:  s.MeanRate(c.cfg.Epoch),
-		}
+	for i := range c.sessions {
+		nr := NodeResult{Name: c.cfg.Nodes[i].Name, FinalCap: c.assigned[i]}
+		nr.MeanPower, nr.MeanRate = c.epochMeans(i)
 		res.Nodes = append(res.Nodes, nr)
 		res.TotalRate += nr.MeanRate
 		res.TotalPower += nr.MeanPower

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -107,4 +108,57 @@ func TestCoordinatorValidation(t *testing.T) {
 	if got := c.Budget(); got != 400 {
 		t.Errorf("budget changed to %g by rejected SetBudget", got)
 	}
+}
+
+// TestSnapshotMeansAfterCancelledStep: the per-node epoch means a step
+// takes are what Snapshot and Result report only while the session has
+// not moved since. After a cancelled step leaves sessions mid-epoch, and
+// again after the step that resumes them, both equal the means computed
+// from the sessions directly.
+func TestSnapshotMeansAfterCancelledStep(t *testing.T) {
+	c, err := NewCoordinator(Config{
+		Nodes:       mixedCluster(t, "RAPL"),
+		BudgetWatts: 400,
+		Epoch:       time.Second,
+		Policy:      DemandShiftPolicy{},
+		Seed:        9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		sn, res := c.Snapshot(), c.Result()
+		for i, s := range c.sessions {
+			p, r := s.MeanPower(c.Epoch()), s.MeanRate(c.Epoch())
+			if sn.Nodes[i].MeanPower != p || sn.Nodes[i].MeanRate != r {
+				t.Errorf("%s: node %d snapshot means (%v, %v), sessions say (%v, %v)",
+					when, i, sn.Nodes[i].MeanPower, sn.Nodes[i].MeanRate, p, r)
+			}
+			if res.Nodes[i].MeanPower != p || res.Nodes[i].MeanRate != r {
+				t.Errorf("%s: node %d result means (%v, %v), sessions say (%v, %v)",
+					when, i, res.Nodes[i].MeanPower, res.Nodes[i].MeanRate, p, r)
+			}
+		}
+	}
+	if err := c.Step(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check("after a step")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.StepContext(ctx, time.Second); err == nil {
+		t.Fatal("StepContext succeeded under a cancelled context")
+	}
+	// The mid-epoch residue a cancellation leaves: sessions advanced
+	// partway into the epoch.
+	c.sessions[0].Advance(500 * time.Millisecond)
+	c.sessions[2].Advance(250 * time.Millisecond)
+	check("after a cancelled step")
+
+	if err := c.Step(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check("after the resuming step")
 }

@@ -9,15 +9,14 @@ import (
 // AffinityEnv is the optional environment extension for per-application
 // scheduling control: beyond choosing which resources are active (what
 // PUPiL does), a controller can pin individual applications to core
-// subsets and observe per-application performance. This implements the
+// subsets. This implements the
 // paper's future-work direction of coupling PUPiL with an energy-aware
 // scheduler (Section 6: "further performance gains could be achieved by
 // coupling PUPiL with advanced energy-aware schedulers").
 type AffinityEnv interface {
 	Env
-	// AppPerf returns filtered per-application performance (normalized
-	// like the aggregate feedback) over the trailing window.
-	AppPerf(window time.Duration) []float64
+	// Apps returns how many applications are running.
+	Apps() int
 	// SetAffinity pins each application i to at most limits[i] physical
 	// cores; 0 lifts the restriction. Effects become observable at the
 	// returned time (thread migration latency).
@@ -102,7 +101,7 @@ func (e *EAS) Step(env Env) {
 	}
 	switch e.state {
 	case easBegin:
-		e.nApps = len(aenv.AppPerf(e.window))
+		e.nApps = aenv.Apps()
 		e.limits = make([]int, e.nApps)
 		e.baseline = aenv.Feedback(e.window).Perf
 		e.appIdx = 0

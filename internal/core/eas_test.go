@@ -13,10 +13,7 @@ type affinityFakeEnv struct {
 	affSets int
 }
 
-func (e *affinityFakeEnv) AppPerf(window time.Duration) []float64 {
-	ev := e.effective()
-	return append([]float64(nil), ev.Rates...)
-}
+func (e *affinityFakeEnv) Apps() int { return len(e.apps) }
 
 func (e *affinityFakeEnv) SetAffinity(limits []int) time.Duration {
 	for i, a := range e.apps {

@@ -262,9 +262,6 @@ func buildWorld(s Scenario) (*world, *sim.Runner, error) {
 	// runner sizes it once.
 	tickers := make([]sim.Ticker, 0, 16)
 	tickers = append(tickers, &faultTicker{w: w}, w.powerSensor, w.perfSensor)
-	for _, sns := range w.appSensors {
-		tickers = append(tickers, sns)
-	}
 	for _, fw := range w.firmwares {
 		tickers = append(tickers, fw)
 	}

@@ -7,6 +7,7 @@ import (
 	"pupil/internal/faults"
 	"pupil/internal/machine"
 	"pupil/internal/sim"
+	"pupil/internal/system"
 )
 
 // Session is a resumable run: where Run executes a scenario to completion,
@@ -135,20 +136,19 @@ func (s *Session) BreachSeconds() float64 {
 	return float64(s.w.breachTicks) * sensorPeriod.Seconds()
 }
 
-// Power returns the node's current true power draw.
+// Power returns the node's current true power draw. Reading a session
+// never changes what it simulates.
 func (s *Session) Power() float64 {
-	if s.w.evalStale {
-		s.w.refresh(s.Now())
-	}
-	return s.w.eval.PowerTotal
+	var buf system.Eval
+	ev, _ := s.w.current(&buf)
+	return ev.PowerTotal
 }
 
 // Rates returns the node's current per-application work rates.
 func (s *Session) Rates() []float64 {
-	if s.w.evalStale {
-		s.w.refresh(s.Now())
-	}
-	return append([]float64(nil), s.w.eval.Rates...)
+	var buf system.Eval
+	ev, _ := s.w.current(&buf)
+	return append([]float64(nil), ev.Rates...)
 }
 
 // ZonePower is one RAPL-style power zone reading: the package total for a
@@ -251,9 +251,8 @@ func (sn Snapshot) TotalRate() float64 {
 
 // Snapshot captures the session's current state.
 func (s *Session) Snapshot() Snapshot {
-	if s.w.evalStale {
-		s.w.refresh(s.Now())
-	}
+	var buf system.Eval
+	ev, cfg := s.w.current(&buf)
 	apps := make([]string, len(s.w.apps))
 	for i, a := range s.w.apps {
 		apps[i] = a.Profile.Name
@@ -261,12 +260,12 @@ func (s *Session) Snapshot() Snapshot {
 	sn := Snapshot{
 		Now:           s.Now(),
 		CapWatts:      s.w.capW,
-		PowerWatts:    s.w.eval.PowerTotal,
-		Rates:         append([]float64(nil), s.w.eval.Rates...),
+		PowerWatts:    ev.PowerTotal,
+		Rates:         append([]float64(nil), ev.Rates...),
 		Config:        s.w.active.Clone(),
 		EnergyJ:       s.w.energyJ,
 		Apps:          apps,
-		Zones:         s.w.zonePowers(make([]ZonePower, 0, 3*s.w.plat.Sockets)),
+		Zones:         s.w.zonePowers(make([]ZonePower, 0, 3*s.w.plat.Sockets), ev, cfg),
 		BreachSeconds: s.BreachSeconds(),
 		FaultsActive:  s.FaultsActive(),
 		DegradeLevel:  s.DegradeLevel().String(),

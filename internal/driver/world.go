@@ -2,6 +2,7 @@ package driver
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -47,6 +48,9 @@ type world struct {
 	breachTicks int // sensor-period ticks with true power above cap*1.03
 
 	evaluator *system.Evaluator
+	// reader evaluates the hardware configuration for a read that finds
+	// the eval stale (see current); nil until the first such read.
+	reader *system.Evaluator
 	// eval is the world's own result: refresh evaluates into it in place.
 	// Its slices alias the evaluator's buffers.
 	eval      system.Eval
@@ -97,7 +101,6 @@ type world struct {
 
 	powerSensor *telemetry.Sensor
 	perfSensor  *telemetry.Sensor
-	appSensors  []*telemetry.Sensor
 	heartbeats  []*heartbeat.Monitor
 	perfWeights []float64
 
@@ -197,16 +200,6 @@ func newWorld(s Scenario, apps []*workload.Instance, rng *sim.RNG) *world {
 		sensorPeriod, windowLen, perfNoise, rng.Fork("perf-sensor"))
 	w.perfSensor.Record(sim.NewSeries("perf"))
 	w.perfSensor.SetTap(w.faults.SensorTap(faults.TargetPerfSensor, w.perfSensor.Window()))
-	for i := range apps {
-		idx := i
-		sns := telemetry.NewSensor(
-			"perf-"+apps[i].Profile.Name,
-			func() float64 { return w.appSignal(idx) },
-			sensorPeriod, windowLen, perfNoise,
-			rng.Fork("app-sensor-"+apps[i].Profile.Name+string(rune('0'+i))))
-		sns.SetTap(w.faults.SensorTap(faults.TargetPerfSensor, sns.Window()))
-		w.appSensors = append(w.appSensors, sns)
-	}
 
 	if !s.NoRAPL {
 		raplCfg := rapl.DefaultConfig()
@@ -292,24 +285,9 @@ func (w *world) perfSignal() float64 {
 	return sum
 }
 
-// refresh recomputes ground truth at time now, applying the package
-// thermal protection's clock modulation on top of the active configuration.
+// refresh recomputes ground truth at time now.
 func (w *world) refresh(now time.Duration) {
-	cfg := w.active
-	if th := w.plat.Thermal; th != nil {
-		hot := false
-		for _, t := range w.throttling {
-			hot = hot || t
-		}
-		if hot {
-			cfg = w.active.Clone()
-			for s := range cfg.Duty {
-				if w.throttling[s] {
-					cfg.Duty[s] *= th.ThrottleDuty
-				}
-			}
-		}
-	}
+	cfg := w.hardwareConfig()
 	w.evaluator.EvalInto(&w.eval, cfg, now, w.tempC)
 	for s := range w.evalTempQ {
 		w.evalTempQ[s] = system.QuantizeTempC(w.tempC[s])
@@ -317,6 +295,40 @@ func (w *world) refresh(now time.Duration) {
 	w.evalCfg = cfg
 	w.evalStale = false
 	w.lastEval = now
+}
+
+// hardwareConfig is the configuration the hardware runs: the active one
+// with the package thermal protection's clock modulation applied.
+func (w *world) hardwareConfig() machine.Config {
+	th := w.plat.Thermal
+	if th == nil || !slices.Contains(w.throttling, true) {
+		return w.active
+	}
+	cfg := w.active.Clone()
+	for s := range cfg.Duty {
+		if w.throttling[s] {
+			cfg.Duty[s] *= th.ThrottleDuty
+		}
+	}
+	return cfg
+}
+
+// current returns the eval and configuration a read of the session
+// reports. A fresh kernel eval is reported as it is. A stale one is left
+// for the kernel's next step to refresh: refreshing it at the read would
+// move the kernel's refresh schedule and change what the session goes on
+// to simulate. The hardware configuration is evaluated into dst instead,
+// on a second evaluator that the first such read builds.
+func (w *world) current(dst *system.Eval) (*system.Eval, machine.Config) {
+	if !w.evalStale {
+		return &w.eval, w.evalCfg
+	}
+	if w.reader == nil {
+		w.reader = system.NewEvaluator(w.plat, w.apps)
+	}
+	cfg := w.hardwareConfig()
+	w.reader.EvalInto(dst, cfg, w.now(), w.tempC)
+	return dst, cfg
 }
 
 // periodicRefresh is the refresh rule at each evalPeriod for an eval that
@@ -352,6 +364,9 @@ func (w *world) tempCellMoved() bool {
 // speedup and spin terms.
 func (w *world) appChanged() {
 	w.evaluator.Invalidate()
+	if w.reader != nil {
+		w.reader.Invalidate()
+	}
 	w.evalStale = true
 	w.phased = anyPhased(w.apps)
 }
@@ -366,16 +381,16 @@ func anyPhased(apps []*workload.Instance) bool {
 	return false
 }
 
-// zonePowers appends the node's current RAPL-style zone readings to buf:
-// per socket, the package total (with the firmware's programmed cap),
-// then the core and dram components. The eval must be fresh.
-func (w *world) zonePowers(buf []ZonePower) []ZonePower {
+// zonePowers appends the node's RAPL-style zone readings under ev, an
+// eval of cfg, to buf: per socket, the package total (with the firmware's
+// programmed cap), then the core and dram components.
+func (w *world) zonePowers(buf []ZonePower, ev *system.Eval, cfg machine.Config) []ZonePower {
 	for s := 0; s < w.plat.Sockets; s++ {
 		var load machine.SocketLoad
-		if s < len(w.eval.Loads) {
-			load = w.eval.Loads[s]
+		if s < len(ev.Loads) {
+			load = ev.Loads[s]
 		}
-		bd := w.plat.SocketPowerBreakdown(w.evalCfg, s, load)
+		bd := w.plat.SocketPowerBreakdown(cfg, s, load)
 		capW := 0.0
 		if s < len(w.firmwares) {
 			capW = w.firmwares[s].Cap()
@@ -773,18 +788,8 @@ func (w *world) Feedback(window time.Duration) core.Feedback {
 	return core.Feedback{Perf: perf, Power: power, Samples: n}
 }
 
-// AppPerf implements core.AffinityEnv: filtered per-application heartbeats.
-func (w *world) AppPerf(window time.Duration) []float64 {
-	since := w.now() - window
-	if since < 0 {
-		since = 0
-	}
-	out := make([]float64, len(w.appSensors))
-	for i, s := range w.appSensors {
-		out[i], _ = s.Window().FilteredMean(since)
-	}
-	return out
-}
+// Apps implements core.AffinityEnv.
+func (w *world) Apps() int { return len(w.apps) }
 
 // SetAffinity implements core.AffinityEnv: per-application core limits take
 // effect after thread-migration latency.

@@ -28,8 +28,8 @@ const (
 	// TargetPowerSensor is the machine power monitor the software layer
 	// reads (hardware RAPL has its own estimator and is unaffected).
 	TargetPowerSensor Target = "power-sensor"
-	// TargetPerfSensor covers the heartbeat performance feedback, both the
-	// aggregate signal and the per-application monitors.
+	// TargetPerfSensor is the heartbeat performance feedback the software
+	// layer reads.
 	TargetPerfSensor Target = "perf-sensor"
 	// TargetRAPLPower is the firmware's own power estimate input — faults
 	// here blind the hardware loop itself.

@@ -377,7 +377,9 @@ func TestSensorTapBorrowsWindow(t *testing.T) {
 		}
 		a.sns.Tick(now)
 		b.sns.Tick(now)
-		if ra, rb := a.sns.Window().Last(), b.sns.Window().Last(); ra != rb {
+		ra, _ := a.sns.Window().At(now)
+		rb, _ := b.sns.Window().At(now)
+		if ra != rb {
 			t.Fatalf("tick %d: borrowing tap delivered %+v, owning tap %+v", i, ra, rb)
 		}
 	}

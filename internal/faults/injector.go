@@ -168,23 +168,20 @@ func (inj *Injector) WindowScale(now time.Duration) float64 {
 }
 
 // tap is the per-sensor fault state behind SensorTap: enough history for
-// latency replay and the last healthy value for stuck-at. History is a
-// fixed ring — head is the next write slot, n the filled count — so the
-// steady-state sampling path never reallocates.
+// latency replay and the last healthy value for stuck-at.
 //
 // A tap given its sensor's window borrows it as its history instead: until
 // a sensor fault first acts on the target the tap passes every reading
-// through unchanged, so the window holds exactly the readings the ring
-// would, and the tap keeps only its last good value. At that first onset
-// it copies the window into a ring of its own and keeps it from then on.
+// through unchanged, so the window holds exactly the readings its own
+// history would, and the tap keeps only its last good value. At that first
+// onset it copies the window and keeps the copy as its own from then on.
 type tap struct {
 	inj    *Injector
 	target Target
 	rng    *sim.RNG
 
-	borrowed *telemetry.Window
-	hist     []telemetry.Reading
-	head, n  int
+	hist     *telemetry.Window
+	borrowed bool
 	lastGood float64
 	hasGood  bool
 }
@@ -209,7 +206,9 @@ func (inj *Injector) SensorTap(target Target, window *telemetry.Window) telemetr
 		rng:    inj.rng.Fork("tap-" + string(target) + "-" + itoa(inj.tapN)),
 	}
 	if window != nil && window.Cap() == histCap {
-		t.borrowed = window
+		t.hist, t.borrowed = window, true
+	} else {
+		t.hist = telemetry.NewWindow(histCap)
 	}
 	inj.tapN++
 	return t.apply
@@ -230,31 +229,26 @@ func (inj *Injector) sensorFaulted(t time.Duration, target Target) bool {
 // that order. Faults compose: a stuck sensor that also drops out stays
 // silent; a delayed reading can still spike.
 func (t *tap) apply(now time.Duration, v float64) (float64, bool) {
-	if t.borrowed != nil {
+	if t.borrowed {
 		if !t.inj.sensorFaulted(now, t.target) {
 			t.lastGood, t.hasGood = v, true
 			return v, true
 		}
-		t.own()
+		// A fault acts from here on: the sensor's window stops mirroring
+		// the tap's input, so the tap keeps a copy of its own.
+		t.hist, t.borrowed = t.hist.Clone(), false
 	}
-	if t.hist == nil {
-		t.hist = make([]telemetry.Reading, histCap)
-	}
-	t.hist[t.head] = telemetry.Reading{T: now, V: v}
-	t.head = (t.head + 1) % histCap
-	if t.n < histCap {
-		t.n++
-	}
+	t.hist.Add(telemetry.Reading{T: now, V: v})
 
 	if sc, ok := t.inj.firstActive(now, KindLatency, t.target); ok {
 		delay := time.Duration(sc.Magnitude * float64(time.Second))
-		old, ok := t.at(now - delay)
+		old, ok := t.hist.At(now - delay)
 		if !ok {
 			// The delayed reading has not been produced yet: nothing
 			// arrives this period.
 			return 0, false
 		}
-		v = old
+		v = old.V
 	}
 	if _, ok := t.inj.firstActive(now, KindStuck, t.target); ok {
 		if !t.hasGood {
@@ -276,28 +270,6 @@ func (t *tap) apply(now time.Duration, v float64) (float64, bool) {
 		}
 	}
 	return v, true
-}
-
-// own ends the borrowing: the borrowed window's readings, oldest first,
-// become the tap's own ring.
-func (t *tap) own() {
-	h := t.borrowed.Readings(make([]telemetry.Reading, 0, histCap))
-	t.n = len(h)
-	t.hist = h[:histCap]
-	t.head = t.n % histCap
-	t.borrowed = nil
-}
-
-// at returns the newest reading taken at or before tm, scanning the ring
-// newest to oldest.
-func (t *tap) at(tm time.Duration) (float64, bool) {
-	for k := 1; k <= t.n; k++ {
-		r := t.hist[(t.head-k+histCap)%histCap]
-		if r.T <= tm {
-			return r.V, true
-		}
-	}
-	return 0, false
 }
 
 // WrapActuator interposes the injector on the firmware's hardware

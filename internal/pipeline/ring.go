@@ -44,13 +44,18 @@ func (r *Ring) Flush() error { return nil }
 // Close implements Sink; the ring stays readable after close.
 func (r *Ring) Close() error { return nil }
 
-// Samples copies the retained samples out, oldest first.
-func (r *Ring) Samples() []Sample {
+// Samples copies the newest max retained samples out (all of them when max
+// <= 0), oldest first. Only what it returns is copied under the lock.
+func (r *Ring) Samples(max int) []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Sample, r.count)
-	for i := 0; i < r.count; i++ {
-		out[i] = r.buf[(r.head+i)%len(r.buf)]
+	n := r.count
+	if max > 0 && max < n {
+		n = max
+	}
+	out := make([]Sample, n)
+	for i, skip := 0, r.count-n; i < n; i++ {
+		out[i] = r.buf[(r.head+skip+i)%len(r.buf)]
 	}
 	return out
 }

@@ -14,15 +14,18 @@ func TestRingRetainsNewest(t *testing.T) {
 	if err := r.Write([]Sample{{Value: 1}, {Value: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Samples(); len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 {
+	if got := r.Samples(0); len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 {
 		t.Fatalf("partial ring = %+v", got)
 	}
 	if err := r.Write([]Sample{{Value: 3}, {Value: 4}, {Value: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	got := r.Samples()
+	got := r.Samples(0)
 	if len(got) != 3 || got[0].Value != 3 || got[1].Value != 4 || got[2].Value != 5 {
 		t.Fatalf("wrapped ring = %+v, want newest three oldest-first", got)
+	}
+	if got := r.Samples(2); len(got) != 2 || got[0].Value != 4 || got[1].Value != 5 {
+		t.Fatalf("Samples(2) = %+v, want the newest two oldest-first", got)
 	}
 	if r.Len() != 3 || r.Total() != 5 {
 		t.Errorf("Len=%d Total=%d, want 3/5", r.Len(), r.Total())
@@ -33,7 +36,7 @@ func TestRingRetainsNewest(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Samples()) != 3 {
+	if len(r.Samples(0)) != 3 {
 		t.Error("ring not readable after Close")
 	}
 }
@@ -41,7 +44,7 @@ func TestRingRetainsNewest(t *testing.T) {
 func TestRingMinimumCapacity(t *testing.T) {
 	r := NewRing(0)
 	_ = r.Write([]Sample{{Value: 1}, {Value: 2}})
-	if got := r.Samples(); len(got) != 1 || got[0].Value != 2 {
+	if got := r.Samples(0); len(got) != 1 || got[0].Value != 2 {
 		t.Errorf("zero-capacity ring = %+v, want just the newest sample", got)
 	}
 }

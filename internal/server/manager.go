@@ -499,13 +499,7 @@ func (m *Manager) AddSink(name string, sink pipeline.Sink) error {
 
 // Recent returns the newest max samples (all retained when max <= 0) from
 // the router's ring sink, oldest first.
-func (m *Manager) Recent(max int) []pipeline.Sample {
-	samples := m.recent.Samples()
-	if max > 0 && len(samples) > max {
-		samples = samples[len(samples)-max:]
-	}
-	return samples
-}
+func (m *Manager) Recent(max int) []pipeline.Sample { return m.recent.Samples(max) }
 
 // Create builds a node from its configuration and starts its tick loop.
 func (m *Manager) Create(cfg NodeConfig) (*Node, error) {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"sort"
 	"time"
 
 	"pupil/internal/sim"
@@ -12,16 +13,32 @@ type Reading struct {
 	V float64
 }
 
-// Window is a bounded sliding window of readings, oldest first. Storage is
-// a circular buffer, so adding a reading is O(1) even when the window is
-// full — the sensor tick is on the simulation's hot path and the old
-// shift-on-evict cost dominated whole-run profiles.
+// Window is a bounded sliding window of readings, oldest first. It stores
+// only the readings' values, in a circular buffer, so adding a reading is
+// O(1) even when the window is full — the sensor tick is on the
+// simulation's hot path. Their times repeat the sensor's cadence, so the
+// window keeps them as a few marks instead: reading seq+k of a mark was
+// taken at t + k·step. A reading off the cadence (a dropped sample, a
+// disengaged firmware, an irregular input) starts a new mark, so a steady
+// sensor's window holds one mark and a window under a dropout fault one
+// per gap. Readings are added in time order.
 type Window struct {
-	data  []Reading // ring storage, allocated lazily on first Add
+	vals  []float64 // ring storage, allocated lazily on first Add
 	cap   int
 	head  int // index of the oldest retained reading
 	count int
-	vals  []float64 // scratch reused by Since
+	next  int       // sequence number of the next reading added
+	marks []mark    // oldest first; marks[0] covers the oldest retained reading
+	out   []float64 // scratch reused by Since
+}
+
+// mark anchors a run of readings on one cadence: reading seq+k was taken
+// at t + k·step. A mark's second reading sets its step, and the mark runs
+// until the next mark's seq.
+type mark struct {
+	seq  int
+	t    time.Duration
+	step time.Duration
 }
 
 // NewWindow returns a window retaining at most capacity readings.
@@ -34,23 +51,45 @@ func NewWindow(capacity int) *Window {
 
 // Add appends a reading, evicting the oldest when full.
 func (w *Window) Add(r Reading) {
-	if w.data == nil {
-		w.data = make([]Reading, w.cap)
+	if w.vals == nil {
+		w.vals = make([]float64, w.cap)
 	}
 	if w.count == w.cap {
-		w.data[w.head] = r
+		w.vals[w.head] = r.V
 		w.head++
 		if w.head == w.cap {
 			w.head = 0
 		}
-		return
+	} else {
+		idx := w.head + w.count
+		if idx >= w.cap {
+			idx -= w.cap
+		}
+		w.vals[idx] = r.V
+		w.count++
 	}
-	idx := w.head + w.count
-	if idx >= w.cap {
-		idx -= w.cap
+	w.stamp(r.T)
+}
+
+// stamp records the time of reading w.next and drops the marks that cover
+// only evicted readings.
+func (w *Window) stamp(t time.Duration) {
+	n := len(w.marks)
+	switch {
+	case n == 0:
+		w.marks = append(w.marks, mark{seq: w.next, t: t})
+	case w.next-w.marks[n-1].seq == 1:
+		w.marks[n-1].step = t - w.marks[n-1].t
+	default:
+		if m := w.marks[n-1]; m.t+time.Duration(w.next-m.seq)*m.step != t {
+			w.marks = append(w.marks, mark{seq: w.next, t: t})
+		}
 	}
-	w.data[idx] = r
-	w.count++
+	w.next++
+	oldest := w.next - w.count
+	for len(w.marks) > 1 && w.marks[1].seq <= oldest {
+		w.marks = w.marks[1:]
+	}
 }
 
 // Len returns the number of retained readings.
@@ -59,54 +98,67 @@ func (w *Window) Len() int { return w.count }
 // Cap returns how many readings the window retains at most.
 func (w *Window) Cap() int { return w.cap }
 
+// Clone returns an independent copy of the window.
+func (w *Window) Clone() *Window {
+	c := *w
+	if w.vals != nil {
+		c.vals = append([]float64(nil), w.vals...)
+	}
+	c.marks = append([]mark(nil), w.marks...)
+	c.out = nil
+	return &c
+}
+
 // Readings appends the retained readings to dst, oldest first.
 func (w *Window) Readings(dst []Reading) []Reading {
 	for i := 0; i < w.count; i++ {
-		dst = append(dst, w.at(i))
+		dst = append(dst, Reading{T: w.time(i), V: w.val(i)})
 	}
 	return dst
 }
 
-// at returns the i-th retained reading, oldest first.
-func (w *Window) at(i int) Reading {
+// val returns the value of the i-th retained reading, oldest first.
+func (w *Window) val(i int) float64 {
 	idx := w.head + i
 	if idx >= w.cap {
 		idx -= w.cap
 	}
-	return w.data[idx]
+	return w.vals[idx]
+}
+
+// time returns the time of the i-th retained reading, oldest first,
+// finding its mark by binary search.
+func (w *Window) time(i int) time.Duration {
+	seq := w.next - w.count + i
+	m := w.marks[sort.Search(len(w.marks), func(j int) bool { return w.marks[j].seq > seq })-1]
+	return m.t + time.Duration(seq-m.seq)*m.step
 }
 
 // Since returns the values of readings taken at or after t, oldest first.
 // The returned slice is scratch owned by the window and is overwritten by
 // the next Since call; callers consume it before touching the window again.
 func (w *Window) Since(t time.Duration) []float64 {
-	// Readings arrive in time order, so binary-search the first index at
-	// or after t instead of scanning the whole ring.
-	lo, hi := 0, w.count
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if w.at(mid).T < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	// Readings arrive in time order, so binary-search the first one at or
+	// after t instead of scanning the whole ring.
+	lo := sort.Search(w.count, func(i int) bool { return w.time(i) >= t })
 	if lo == w.count {
 		return nil
 	}
-	w.vals = w.vals[:0]
+	w.out = w.out[:0]
 	for i := lo; i < w.count; i++ {
-		w.vals = append(w.vals, w.at(i).V)
+		w.out = append(w.out, w.val(i))
 	}
-	return w.vals
+	return w.out
 }
 
-// Last returns the most recent reading, or a zero Reading when empty.
-func (w *Window) Last() Reading {
-	if w.count == 0 {
-		return Reading{}
+// At returns the newest reading taken at or before t, and false when the
+// window holds none.
+func (w *Window) At(t time.Duration) (Reading, bool) {
+	i := sort.Search(w.count, func(i int) bool { return w.time(i) > t })
+	if i == 0 {
+		return Reading{}, false
 	}
-	return w.at(w.count - 1)
+	return Reading{T: w.time(i - 1), V: w.val(i - 1)}, true
 }
 
 // FilteredMean applies the paper's 3-sigma filter to the readings taken at

@@ -17,7 +17,7 @@ func TestSensorTapTransformsReadings(t *testing.T) {
 	s := quietSensor(func() float64 { return 100 })
 	s.SetTap(func(_ time.Duration, v float64) (float64, bool) { return v * 2, true })
 	s.Tick(0)
-	if got := s.Window().Last(); got.V != 200 {
+	if got, _ := s.Window().At(0); got.V != 200 {
 		t.Errorf("tapped reading = %g, want 200", got.V)
 	}
 }
@@ -32,7 +32,7 @@ func TestSensorTapDropoutSkipsRetention(t *testing.T) {
 	s.Tick(10 * time.Millisecond)
 	s.Tick(20 * time.Millisecond)
 
-	if got := s.Window().Last(); got.T != 0 {
+	if got, _ := s.Window().At(20 * time.Millisecond); got.T != 0 {
 		t.Errorf("dropout retained a reading at %v; window must hold only the t=0 sample", got.T)
 	}
 	if trace.Len() != 1 {
@@ -41,7 +41,7 @@ func TestSensorTapDropoutSkipsRetention(t *testing.T) {
 
 	s.SetTap(nil) // removing the tap restores the sensor
 	s.Tick(30 * time.Millisecond)
-	if got := s.Window().Last(); got.T != 30*time.Millisecond || got.V != 100 {
+	if got, _ := s.Window().At(30 * time.Millisecond); got.T != 30*time.Millisecond || got.V != 100 {
 		t.Errorf("post-tap reading = %+v", got)
 	}
 }
@@ -55,7 +55,7 @@ func TestSensorTapSeesPostNoiseValue(t *testing.T) {
 	if seen == 100 {
 		t.Error("tap saw the clean value; it must run after noise is applied")
 	}
-	if got := s.Window().Last(); got.V != seen {
+	if got, _ := s.Window().At(0); got.V != seen {
 		t.Errorf("window retained %g but tap passed %g", got.V, seen)
 	}
 }

@@ -88,8 +88,8 @@ func TestWindowEviction(t *testing.T) {
 			t.Errorf("window[%d] = %g, want %g", i, vals[i], v)
 		}
 	}
-	if w.Last().V != 4 {
-		t.Errorf("Last = %g, want 4", w.Last().V)
+	if r, _ := w.At(4 * time.Second); r.V != 4 {
+		t.Errorf("At(4s) = %g, want 4", r.V)
 	}
 }
 
@@ -104,10 +104,10 @@ func TestWindowSinceFilters(t *testing.T) {
 	}
 }
 
-func TestWindowEmptyLast(t *testing.T) {
+func TestWindowEmptyAt(t *testing.T) {
 	w := NewWindow(4)
-	if w.Last() != (Reading{}) {
-		t.Errorf("empty window Last = %+v", w.Last())
+	if r, ok := w.At(time.Hour); ok || r != (Reading{}) {
+		t.Errorf("empty window At = %+v, %v", r, ok)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestSensorSamplesSource(t *testing.T) {
 	if s.Window().Len() != 10 {
 		t.Fatalf("window has %d readings, want 10", s.Window().Len())
 	}
-	if s.Window().Last().V != 100 {
-		t.Errorf("noise-free sensor read %g, want 100", s.Window().Last().V)
+	if r, _ := s.Window().At(90 * time.Millisecond); r.V != 100 {
+		t.Errorf("noise-free sensor read %g, want 100", r.V)
 	}
 }
 
