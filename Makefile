@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-short race artifacts-check bench bench-baseline bench-scale bench-sweep load load-baseline
+.PHONY: check fmt vet build test test-short race examples artifacts-check bench bench-baseline bench-scale bench-sweep load load-baseline
 
 # check is the CI gate: formatting, static analysis, build, and the full
 # test suite under the race detector.
@@ -26,6 +26,15 @@ test-short:
 
 race:
 	$(GO) test -race ./...
+
+# examples runs every program under examples/ and fails on the first one
+# that exits non-zero. Each exits on its own; daemon serves on an ephemeral
+# loopback port.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run "./$$d" > /dev/null || exit 1; \
+	done
 
 # artifacts-check regenerates the full evaluation (seed 42) into a scratch
 # directory and diffs it against the committed artifacts/: every CSV and

@@ -19,6 +19,31 @@ func sumOf(v []float64) float64 {
 	return s
 }
 
+// snapCaps returns each node's cap as the coordinator's Snapshot reports
+// it.
+func snapCaps(c *Coordinator) []float64 {
+	sn := c.Snapshot()
+	caps := make([]float64, len(sn.Nodes))
+	for i, n := range sn.Nodes {
+		caps[i] = n.CapWatts
+	}
+	return caps
+}
+
+// snapshotsAfter runs ops on c in order and returns c's Snapshot before the
+// first and after each one, so two runs can be compared at every step.
+func snapshotsAfter(t *testing.T, c *Coordinator, ops ...func() error) []Snapshot {
+	t.Helper()
+	hist := []Snapshot{c.Snapshot()}
+	for i, op := range ops {
+		if err := op(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		hist = append(hist, c.Snapshot())
+	}
+	return hist
+}
+
 // Regression: normalize used to return early when every cap sat at the
 // floor, stranding budget - floor*N watts. The remainder must be
 // distributed so assignments always sum to the budget.
@@ -48,8 +73,9 @@ func TestNormalizeAllAtFloor(t *testing.T) {
 }
 
 // Regression: SetNodeCap used to mutate the assignment without recording
-// it, so Result.CapTrace silently omitted manual reassignments.
-func TestSetNodeCapRecordsCapTrace(t *testing.T) {
+// it. The reassignment must show in the very next Snapshot, before any
+// Step, and leave the other node's cap alone until that Step rebalances.
+func TestSetNodeCapVisibleInSnapshot(t *testing.T) {
 	c, err := NewCoordinator(Config{
 		Nodes:       lightCluster(t),
 		BudgetWatts: 200,
@@ -59,18 +85,11 @@ func TestSetNodeCapRecordsCapTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(c.Result().CapTrace)
 	if err := c.SetNodeCap(0, 120); err != nil {
 		t.Fatal(err)
 	}
-	trace := c.Result().CapTrace
-	if len(trace) != before+1 {
-		t.Fatalf("SetNodeCap left CapTrace at %d rows, want %d (manual reassignments must be recorded)",
-			len(trace), before+1)
-	}
-	last := trace[len(trace)-1]
-	if last[0] != 120 {
-		t.Errorf("recorded row %v does not reflect the 120 W reassignment", last)
+	if caps := snapCaps(c); caps[0] != 120 || caps[1] != 100 {
+		t.Errorf("snapshot caps %v after SetNodeCap(0, 120), want [120 100]", caps)
 	}
 }
 
@@ -160,8 +179,7 @@ func lightCluster(t *testing.T) []NodeSpec {
 // TestCoordinatorProperties drives random Step/SetBudget/SetNodeCap
 // sequences against every policy and asserts the accounting invariants:
 // after any rebalancing operation the assignment sums to the budget within
-// 1e-9, no node is ever below the floor, and CapTrace grows by exactly one
-// row per applied assignment change.
+// 1e-9 and no node is ever below the floor, as the Snapshot reports them.
 func TestCoordinatorProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized multi-epoch sequences")
@@ -182,7 +200,6 @@ func TestCoordinatorProperties(t *testing.T) {
 				t.Fatal(err)
 			}
 			floor := 25.0
-			rows := len(c.Result().CapTrace) // the initial assignment
 			for op := 0; op < 40; op++ {
 				balanced := true // does the op restore sum == budget?
 				switch k := rng.Intn(10); {
@@ -191,38 +208,32 @@ func TestCoordinatorProperties(t *testing.T) {
 					if err := c.Step(d); err != nil {
 						t.Fatalf("op %d: Step: %v", op, err)
 					}
-					rows++
 				case k < 8:
 					budget := floor*2 + rng.Float64()*300
 					if err := c.SetBudget(budget); err != nil {
 						t.Fatalf("op %d: SetBudget(%.1f): %v", op, budget, err)
 					}
-					rows++
 				default:
 					i := rng.Intn(2)
 					watts := floor + rng.Float64()*150
 					if err := c.SetNodeCap(i, watts); err != nil {
 						t.Fatalf("op %d: SetNodeCap(%d, %.1f): %v", op, i, watts, err)
 					}
-					rows++
 					balanced = false // rebalanced only on the next Step
-					if got := c.Assignments()[i]; got != watts {
+					if got := snapCaps(c)[i]; got != watts {
 						t.Fatalf("op %d: SetNodeCap applied %.4f, want %.4f", op, got, watts)
 					}
 				}
-				assigned := c.Assignments()
-				for i, a := range assigned {
+				caps, budget := snapCaps(c), c.Snapshot().Budget
+				for i, a := range caps {
 					if a < floor-1e-9 {
 						t.Fatalf("op %d: node %d assigned %.4f W, below the %.0f W floor", op, i, a, floor)
 					}
 				}
 				if balanced {
-					if got := sumOf(assigned); math.Abs(got-c.Budget()) > 1e-9 {
-						t.Fatalf("op %d: assignment sums to %.12f, want budget %.12f", op, got, c.Budget())
+					if got := sumOf(caps); math.Abs(got-budget) > 1e-9 {
+						t.Fatalf("op %d: assignment sums to %.12f, want budget %.12f", op, got, budget)
 					}
-				}
-				if got := len(c.Result().CapTrace); got != rows {
-					t.Fatalf("op %d: CapTrace has %d rows, want %d (one per applied change)", op, got, rows)
 				}
 			}
 		})
@@ -230,10 +241,10 @@ func TestCoordinatorProperties(t *testing.T) {
 }
 
 // TestParallelStepDeterminism: stepping the cluster on an 8-worker pool
-// must produce a Result and CapTrace byte-identical to sequential
-// stepping, including across live budget and per-node reassignments.
+// must produce Snapshots byte-identical to sequential stepping after every
+// operation, including live budget and per-node reassignments.
 func TestParallelStepDeterminism(t *testing.T) {
-	run := func(parallel int) *Result {
+	run := func(parallel int) []Snapshot {
 		c, err := NewCoordinator(Config{
 			Nodes:       mixedCluster(t, "RAPL"),
 			BudgetWatts: 400,
@@ -245,27 +256,12 @@ func TestParallelStepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		script := func() error {
-			for i := 0; i < 3; i++ {
-				if err := c.Step(time.Second); err != nil {
-					return err
-				}
-			}
-			if err := c.SetBudget(320); err != nil {
-				return err
-			}
-			if err := c.Step(750 * time.Millisecond); err != nil {
-				return err
-			}
-			if err := c.SetNodeCap(2, 60); err != nil {
-				return err
-			}
-			return c.Step(time.Second)
-		}
-		if err := script(); err != nil {
-			t.Fatal(err)
-		}
-		return c.Result()
+		step := func() error { return c.Step(time.Second) }
+		return snapshotsAfter(t, c, step, step, step,
+			func() error { return c.SetBudget(320) },
+			func() error { return c.Step(750 * time.Millisecond) },
+			func() error { return c.SetNodeCap(2, 60) },
+			step)
 	}
 	seq := run(1)
 	par := run(8)
@@ -281,7 +277,7 @@ func TestParallelStepDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("parallel Result is not byte-identical to sequential Result")
+		t.Fatal("parallel Snapshots are not byte-identical to sequential Snapshots")
 	}
 }
 

@@ -60,47 +60,15 @@ type Config struct {
 	Health *HealthConfig
 }
 
-// NodeResult is one node's outcome.
-type NodeResult struct {
-	Name      string
-	FinalCap  float64
-	MeanPower float64
-	MeanRate  float64
-}
-
-// Result is a cluster run's outcome.
-type Result struct {
-	Policy string
-	Nodes  []NodeResult
-	// CapTrace records each node's assigned cap at every epoch boundary.
-	CapTrace [][]float64
-	// DomainNames and DomainTrace mirror CapTrace one level up for
-	// hierarchical clusters: DomainTrace[k][j] is the budget delegated to
-	// domain DomainNames[j] when CapTrace row k was recorded, so the
-	// budget history is complete at every tree level. Both are nil for a
-	// flat cluster.
-	DomainNames []string
-	DomainTrace [][]float64
-	// TotalRate sums the nodes' mean rates over their final epochs.
-	TotalRate float64
-	// TotalPower sums mean powers over the final epoch; it must respect
-	// the budget.
-	TotalPower float64
-	// HealthEvents is the health state-transition log and ChaosEvents the
-	// cluster-scoped fault transition log; both nil when the respective
-	// machinery was never engaged.
-	HealthEvents []HealthEvent
-	ChaosEvents  []ChaosEvent
-}
-
-// Run executes the cluster scenario to completion.
-func Run(cfg Config) (*Result, error) {
+// Run executes the cluster scenario to completion and returns the final
+// Snapshot.
+func Run(cfg Config) (Snapshot, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 60 * time.Second
 	}
 	c, err := NewCoordinator(cfg)
 	if err != nil {
-		return nil, err
+		return Snapshot{}, err
 	}
 	for t := time.Duration(0); t < cfg.Duration; t += c.cfg.Epoch {
 		step := c.cfg.Epoch
@@ -108,10 +76,10 @@ func Run(cfg Config) (*Result, error) {
 			step = rem
 		}
 		if err := c.Step(step); err != nil {
-			return nil, err
+			return Snapshot{}, err
 		}
 	}
-	return c.Result(), nil
+	return c.Snapshot(), nil
 }
 
 // normalize rescales an assignment to sum to budget while respecting the

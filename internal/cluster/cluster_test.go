@@ -65,28 +65,27 @@ func TestClusterValidation(t *testing.T) {
 
 func TestClusterRespectsBudget(t *testing.T) {
 	for _, policy := range []Policy{EvenPolicy{}, DemandShiftPolicy{}} {
-		res, err := Run(Config{
+		c, err := NewCoordinator(Config{
 			Nodes:       mixedCluster(t, "PUPiL"),
 			BudgetWatts: 400,
 			Epoch:       5 * time.Second,
-			Duration:    60 * time.Second,
 			Policy:      policy,
 			Seed:        1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TotalPower > 400*1.05 {
-			t.Errorf("%s: cluster draws %.1f W over a 400 W budget", policy.Name(), res.TotalPower)
+		for c.Now() < 60*time.Second {
+			if err := c.Step(c.Epoch()); err != nil {
+				t.Fatal(err)
+			}
+			if caps := snapCaps(c); math.Abs(sumOf(caps)-400) > 1e-6 {
+				t.Fatalf("%s at %v: assignment %v sums to %.2f, want the 400 W budget",
+					policy.Name(), c.Now(), caps, sumOf(caps))
+			}
 		}
-		for _, tr := range res.CapTrace {
-			sum := 0.0
-			for _, c := range tr {
-				sum += c
-			}
-			if math.Abs(sum-400) > 1e-6 {
-				t.Fatalf("%s: assignment %v sums to %.2f, want the 400 W budget", policy.Name(), tr, sum)
-			}
+		if sn := c.Snapshot(); sn.TotalPower > 400*1.05 {
+			t.Errorf("%s: cluster draws %.1f W over a 400 W budget", policy.Name(), sn.TotalPower)
 		}
 	}
 }
@@ -94,7 +93,7 @@ func TestClusterRespectsBudget(t *testing.T) {
 // TestDemandShiftBeatsEvenSplit: with heterogeneous nodes, moving budget
 // from headroom nodes to pegged nodes must raise cluster throughput.
 func TestDemandShiftBeatsEvenSplit(t *testing.T) {
-	run := func(p Policy) *Result {
+	run := func(p Policy) Snapshot {
 		res, err := Run(Config{
 			Nodes:       mixedCluster(t, "PUPiL"),
 			BudgetWatts: 400,
@@ -115,7 +114,10 @@ func TestDemandShiftBeatsEvenSplit(t *testing.T) {
 			shift.TotalRate, even.TotalRate)
 	}
 	// The donors must actually have donated.
-	final := shift.CapTrace[len(shift.CapTrace)-1]
+	final := make([]float64, len(shift.Nodes))
+	for i, n := range shift.Nodes {
+		final[i] = n.CapWatts
+	}
 	if final[2] >= 100 || final[3] >= 100 {
 		t.Errorf("headroom nodes kept their even share: final caps %v", final)
 	}
@@ -127,7 +129,7 @@ func TestDemandShiftBeatsEvenSplit(t *testing.T) {
 // TestPUPiLNodesBeatRAPLNodes: the paper's node-level result compounds at
 // cluster level.
 func TestPUPiLNodesBeatRAPLNodes(t *testing.T) {
-	run := func(tech string) *Result {
+	run := func(tech string) Snapshot {
 		res, err := Run(Config{
 			Nodes:       mixedCluster(t, tech),
 			BudgetWatts: 400,

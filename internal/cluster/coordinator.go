@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"pupil/internal/driver"
@@ -17,7 +16,9 @@ import (
 // the budget, advanced one epoch at a time. Where Run executes a fixed
 // scenario to completion, a Coordinator lets a serving layer step the
 // cluster indefinitely and reassign caps — the global budget or an
-// individual node's share — while it runs.
+// individual node's share — while it runs. It keeps no per-epoch record:
+// Snapshot reads the current state, and a caller that wants a history
+// takes one after each Step.
 //
 // With a hierarchical Topology the coordinator maintains a tree of budget
 // domains: the global budget is delegated datacenter → row → rack, each
@@ -29,7 +30,6 @@ type Coordinator struct {
 	cfg      Config
 	sessions []*driver.Session
 	assigned []float64
-	capTrace [][]float64
 	budget   float64
 	floor    float64
 	now      time.Duration
@@ -44,7 +44,6 @@ type Coordinator struct {
 	hier        bool
 	parentEvery int
 	epochs      uint64
-	domainTrace [][]float64
 
 	// Step scratch, allocated once and reused every epoch: the persistent
 	// sweep cells advance each session and deposit its demand into
@@ -73,8 +72,8 @@ type Coordinator struct {
 	panicked []bool
 	// means holds each node's trailing-epoch means and the session time
 	// they were taken at: stepNode fills them on the worker pool after its
-	// advance, and the demand report, SnapshotInto and Result read them
-	// while the session has not moved since.
+	// advance, and the demand report and SnapshotInto read them while the
+	// session has not moved since.
 	means []nodeMeans
 
 	// Cluster-scoped fault schedule and the health layer (hcfg nil when
@@ -88,15 +87,6 @@ type Coordinator struct {
 	// indices and policy slices, reused every epoch.
 	subIdx                          []int
 	subNext, subAssigned, subDemand []float64
-
-	// arena backs trace rows in chunks so steady-state recording does not
-	// allocate per epoch.
-	arena []float64
-	// keep is the trailing window of trace rows a retained coordinator
-	// holds (<= 0: every row); rowT is each row's recording time, kept
-	// only while retained. See Retain.
-	keep time.Duration
-	rowT []time.Duration
 }
 
 // NewCoordinator validates the configuration and builds the cluster's
@@ -199,7 +189,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			},
 		}
 	}
-	c.record()
 	return c, nil
 }
 
@@ -287,14 +276,6 @@ func (c *Coordinator) epochMeans(i int) (power, rate float64) {
 // Now returns the cluster's simulated time.
 func (c *Coordinator) Now() time.Duration { return c.now }
 
-// Budget returns the current global power budget.
-func (c *Coordinator) Budget() float64 { return c.budget }
-
-// Assignments returns a copy of the current per-node cap assignment.
-func (c *Coordinator) Assignments() []float64 {
-	return append([]float64(nil), c.assigned...)
-}
-
 // SetBudget changes the global power budget live. The new budget is
 // enforced immediately: every tree level re-splits it top-down over the
 // children's current shares (respecting the level's floors), and the
@@ -337,8 +318,8 @@ func (c *Coordinator) SetBudget(watts float64) error {
 
 // SetNodeCap reassigns one node's cap directly, bypassing the policy; the
 // difference is taken from (or returned to) the node's siblings on the
-// next Step's normalization of its leaf domain. Like every applied
-// assignment change, the reassignment is recorded in CapTrace.
+// next Step's normalization of its leaf domain. The next Snapshot already
+// reports the new cap.
 func (c *Coordinator) SetNodeCap(i int, watts float64) error {
 	if i < 0 || i >= len(c.sessions) {
 		return fmt.Errorf("cluster: no node %d", i)
@@ -354,7 +335,6 @@ func (c *Coordinator) SetNodeCap(i int, watts float64) error {
 		return err
 	}
 	c.assigned[i] = watts
-	c.record()
 	return nil
 }
 
@@ -539,7 +519,7 @@ func (c *Coordinator) rebalanceLeaf(d *domain) {
 	}
 }
 
-// apply programs an assignment into the sessions and records it.
+// apply programs an assignment into the sessions.
 func (c *Coordinator) apply(next []float64) error {
 	for i, s := range c.sessions {
 		if next[i] != c.assigned[i] {
@@ -549,111 +529,7 @@ func (c *Coordinator) apply(next []float64) error {
 		}
 		c.assigned[i] = next[i]
 	}
-	c.record()
 	return nil
-}
-
-// record appends the current assignment to CapTrace and, for hierarchical
-// clusters, the current per-domain budgets to DomainTrace — the two traces
-// stay row-aligned so every applied change is visible at every tree level.
-// Rows are carved from a chunked arena so steady-state epoch recording
-// amortizes to (nearly) zero allocations; a retained coordinator first
-// trims the rows that left its window and reuses their storage.
-func (c *Coordinator) record() {
-	if c.keep > 0 {
-		c.trimTraces()
-		c.rowT = append(c.rowT, c.now)
-	}
-	copy(c.appendRow(&c.capTrace, len(c.assigned)), c.assigned)
-	if c.hier {
-		drow := c.appendRow(&c.domainTrace, len(c.domains))
-		for i, d := range c.domains {
-			drow[i] = d.budget
-		}
-	}
-}
-
-// Retain bounds the coordinator's own cap and domain traces to a trailing
-// window of d of simulated time, as Session.Retain bounds a session's, for
-// owners that never read them whole: a served cluster would otherwise add
-// a row per epoch forever. Once the cap trace's backing array is full and
-// at least half its rows were recorded more than d before the current
-// time, those rows are dropped in place, row-aligned across both traces,
-// and their storage is reused for the rows that follow, so a warm epoch
-// allocates nothing. Result then covers only the retained rows, and its
-// traces share storage that later epochs reuse. d <= 0 keeps every row
-// again from now on.
-func (c *Coordinator) Retain(d time.Duration) {
-	c.keep = d
-	if d <= 0 {
-		c.rowT = nil
-		return
-	}
-	// Rows recorded before retention have no time: they count as now.
-	for len(c.rowT) < len(c.capTrace) {
-		c.rowT = append(c.rowT, c.now)
-	}
-}
-
-// trimTraces drops the rows older than the retained window once the cap
-// trace is full and they are at least half of it, as a retained sim.Series
-// compacts. The dropped rows rotate, in place, behind the live ones, where
-// appendRow finds their storage.
-func (c *Coordinator) trimTraces() {
-	if len(c.capTrace) < cap(c.capTrace) {
-		return
-	}
-	old := 0
-	for old < len(c.rowT) && c.rowT[old] < c.now-c.keep {
-		old++
-	}
-	if 2*old < len(c.rowT) {
-		return
-	}
-	c.capTrace = dropRows(c.capTrace, old)
-	if c.hier {
-		c.domainTrace = dropRows(c.domainTrace, old)
-	}
-	c.rowT = c.rowT[:copy(c.rowT, c.rowT[old:])]
-}
-
-// dropRows drops the first k rows, rotating them behind the rest within the
-// backing array (three in-place reversals), and returns the live rows.
-func dropRows(rows [][]float64, k int) [][]float64 {
-	slices.Reverse(rows[:k])
-	slices.Reverse(rows[k:])
-	slices.Reverse(rows)
-	return rows[:len(rows)-k]
-}
-
-// appendRow appends an n-element row to *trace and returns it for the
-// caller to fill: the storage of a dropped row waiting past the trace's
-// length when there is one, otherwise a row carved from the arena.
-func (c *Coordinator) appendRow(trace *[][]float64, n int) []float64 {
-	t := *trace
-	if len(t) < cap(t) {
-		if row := t[:len(t)+1][len(t)]; len(row) == n {
-			*trace = t[:len(t)+1]
-			return row
-		}
-	}
-	row := c.arenaRow(n)
-	*trace = append(t, row)
-	return row
-}
-
-// arenaRow carves an n-element row out of the trace arena, refilling the
-// arena in chunks of many rows when it runs dry. Rows are full slices
-// (length == capacity) so appends by a caller could never alias the next
-// row.
-func (c *Coordinator) arenaRow(n int) []float64 {
-	if len(c.arena) < n {
-		chunk := 64 * n
-		c.arena = make([]float64, chunk)
-	}
-	row := c.arena[:n:n]
-	c.arena = c.arena[n:]
-	return row
 }
 
 // NodeSnapshot is one node's slice of a cluster Snapshot.
@@ -670,9 +546,8 @@ type NodeSnapshot struct {
 	Health HealthState
 }
 
-// Snapshot is an instantaneous, copyable view of the cluster — the
-// introspection hook a serving layer reads between Steps without paying
-// for full per-node Results.
+// Snapshot is an instantaneous, copyable view of the cluster — the one way
+// to read a coordinator between Steps.
 type Snapshot struct {
 	Now        time.Duration
 	Policy     string
@@ -768,10 +643,6 @@ func (c *Coordinator) NodeCount() int { return len(c.sessions) }
 // Epoch returns the coordinator's configured epoch.
 func (c *Coordinator) Epoch() time.Duration { return c.cfg.Epoch }
 
-// Topology returns the coordinator's budget-domain topology (zero value
-// for a flat cluster).
-func (c *Coordinator) Topology() Topology { return c.cfg.Topology }
-
 // DomainCount reports the number of budget domains (1 for a flat cluster).
 func (c *Coordinator) DomainCount() int { return len(c.domains) }
 
@@ -794,8 +665,8 @@ func (c *Coordinator) NodeDomains() []string {
 }
 
 // CheckInvariants verifies the coordinator's structural invariants — the
-// lockstep clock identity, budget conservation at every tree level, the
-// per-node floor, and trace row alignment. Valid immediately after any
+// lockstep clock identity, budget conservation at every tree level, and
+// the per-node floor. Valid immediately after any
 // successful Step; experiment cells and the property tests call it after
 // every epoch so a violation names its first occurrence.
 func (c *Coordinator) CheckInvariants() error {
@@ -828,35 +699,5 @@ func (c *Coordinator) CheckInvariants() error {
 			return fmt.Errorf("cluster: domain %s children sum to %.9g W, budget is %.9g W", d.name, sum, d.budget)
 		}
 	}
-	if c.hier && len(c.domainTrace) != len(c.capTrace) {
-		return fmt.Errorf("cluster: %d cap-trace rows vs %d domain-trace rows", len(c.capTrace), len(c.domainTrace))
-	}
 	return nil
-}
-
-// Result assembles the cluster outcome over everything simulated so far;
-// a retained coordinator's traces cover only its window (see Retain).
-func (c *Coordinator) Result() *Result {
-	res := &Result{Policy: c.cfg.Policy.Name(), CapTrace: c.capTrace}
-	if len(c.healthEvents) > 0 {
-		res.HealthEvents = append([]HealthEvent(nil), c.healthEvents...)
-	}
-	if len(c.chaos.events) > 0 {
-		res.ChaosEvents = append([]ChaosEvent(nil), c.chaos.events...)
-	}
-	if c.hier {
-		res.DomainNames = make([]string, len(c.domains))
-		for i, d := range c.domains {
-			res.DomainNames[i] = d.name
-		}
-		res.DomainTrace = c.domainTrace
-	}
-	for i := range c.sessions {
-		nr := NodeResult{Name: c.cfg.Nodes[i].Name, FinalCap: c.assigned[i]}
-		nr.MeanPower, nr.MeanRate = c.epochMeans(i)
-		res.Nodes = append(res.Nodes, nr)
-		res.TotalRate += nr.MeanRate
-		res.TotalPower += nr.MeanPower
-	}
-	return res
 }

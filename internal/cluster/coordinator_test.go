@@ -21,14 +21,7 @@ func TestCoordinatorLiveBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := func(v []float64) float64 {
-		s := 0.0
-		for _, x := range v {
-			s += x
-		}
-		return s
-	}
-	if got := sum(c.Assignments()); math.Abs(got-400) > 1e-6 {
+	if got := sumOf(snapCaps(c)); math.Abs(got-400) > 1e-6 {
 		t.Fatalf("initial assignment sums to %g, want 400", got)
 	}
 	for i := 0; i < 3; i++ {
@@ -44,13 +37,13 @@ func TestCoordinatorLiveBudget(t *testing.T) {
 	if err := c.SetBudget(240); err != nil {
 		t.Fatal(err)
 	}
-	if got := sum(c.Assignments()); math.Abs(got-240) > 1e-6 {
+	if got := sumOf(snapCaps(c)); math.Abs(got-240) > 1e-6 {
 		t.Errorf("assignment after SetBudget sums to %g, want 240", got)
 	}
 	if err := c.Step(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := sum(c.Assignments()); math.Abs(got-240) > 1e-6 {
+	if got := sumOf(snapCaps(c)); math.Abs(got-240) > 1e-6 {
 		t.Errorf("assignment after next Step sums to %g, want 240", got)
 	}
 
@@ -58,19 +51,15 @@ func TestCoordinatorLiveBudget(t *testing.T) {
 	if err := c.SetNodeCap(0, 90); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Assignments()[0]; got != 90 {
+	sn := c.Snapshot()
+	if len(sn.Nodes) != 4 {
+		t.Fatalf("Snapshot has %d nodes, want 4", len(sn.Nodes))
+	}
+	if got := sn.Nodes[0].CapWatts; got != 90 {
 		t.Errorf("node 0 cap = %g, want 90", got)
 	}
-
-	res := c.Result()
-	if len(res.Nodes) != 4 {
-		t.Fatalf("Result has %d nodes, want 4", len(res.Nodes))
-	}
-	if res.TotalPower > 400*1.05 {
-		t.Errorf("total power %.1f W ignores budget", res.TotalPower)
-	}
-	if len(res.CapTrace) < 5 {
-		t.Errorf("CapTrace has %d entries, want >= 5", len(res.CapTrace))
+	if sn.TotalPower > 400*1.05 {
+		t.Errorf("total power %.1f W ignores budget", sn.TotalPower)
 	}
 }
 
@@ -105,16 +94,16 @@ func TestCoordinatorValidation(t *testing.T) {
 	if err := c.Step(0); err == nil {
 		t.Error("Step accepted non-positive duration")
 	}
-	if got := c.Budget(); got != 400 {
+	if got := c.Snapshot().Budget; got != 400 {
 		t.Errorf("budget changed to %g by rejected SetBudget", got)
 	}
 }
 
 // TestSnapshotMeansAfterCancelledStep: the per-node epoch means a step
-// takes are what Snapshot and Result report only while the session has
-// not moved since. After a cancelled step leaves sessions mid-epoch, and
-// again after the step that resumes them, both equal the means computed
-// from the sessions directly.
+// takes are what Snapshot reports only while the session has not moved
+// since. After a cancelled step leaves sessions mid-epoch, and again after
+// the step that resumes them, they equal the means computed from the
+// sessions directly.
 func TestSnapshotMeansAfterCancelledStep(t *testing.T) {
 	c, err := NewCoordinator(Config{
 		Nodes:       mixedCluster(t, "RAPL"),
@@ -128,16 +117,12 @@ func TestSnapshotMeansAfterCancelledStep(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		sn, res := c.Snapshot(), c.Result()
+		sn := c.Snapshot()
 		for i, s := range c.sessions {
 			p, r := s.MeanPower(c.Epoch()), s.MeanRate(c.Epoch())
 			if sn.Nodes[i].MeanPower != p || sn.Nodes[i].MeanRate != r {
 				t.Errorf("%s: node %d snapshot means (%v, %v), sessions say (%v, %v)",
 					when, i, sn.Nodes[i].MeanPower, sn.Nodes[i].MeanRate, p, r)
-			}
-			if res.Nodes[i].MeanPower != p || res.Nodes[i].MeanRate != r {
-				t.Errorf("%s: node %d result means (%v, %v), sessions say (%v, %v)",
-					when, i, res.Nodes[i].MeanPower, res.Nodes[i].MeanRate, p, r)
 			}
 		}
 	}

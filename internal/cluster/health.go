@@ -247,15 +247,6 @@ func (c *Coordinator) updateHealth() {
 	}
 }
 
-// NodeHealth returns node i's current health state (Healthy when tracking
-// is disabled or i is out of range).
-func (c *Coordinator) NodeHealth(i int) HealthState {
-	if c.hcfg == nil || i < 0 || i >= len(c.health) {
-		return Healthy
-	}
-	return c.health[i].state
-}
-
 // QuarantinedCount reports how many nodes are currently benched
 // (quarantined or probing).
 func (c *Coordinator) QuarantinedCount() int {

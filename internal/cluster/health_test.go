@@ -20,7 +20,7 @@ func healthOn() *HealthConfig { return &HealthConfig{} }
 // cluster must not change a single byte of the outcome — the state machine
 // observes, and a node that never misbehaves is never touched.
 func TestHealthDisabledIdentity(t *testing.T) {
-	run := func(h *HealthConfig) *Result {
+	run := func(h *HealthConfig) ([]Snapshot, []HealthEvent) {
 		c, err := NewCoordinator(Config{
 			Nodes:       mixedCluster(t, "RAPL"),
 			BudgetWatts: 400,
@@ -32,17 +32,19 @@ func TestHealthDisabledIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var hist []Snapshot
 		for i := 0; i < 5; i++ {
 			if err := c.Step(time.Second); err != nil {
 				t.Fatal(err)
 			}
+			hist = append(hist, c.Snapshot())
 		}
-		return c.Result()
+		return hist, c.HealthEvents()
 	}
-	off := run(nil)
-	on := run(healthOn())
-	if len(on.HealthEvents) != 0 {
-		t.Fatalf("fault-free run produced health events: %v", on.HealthEvents)
+	off, _ := run(nil)
+	on, events := run(healthOn())
+	if len(events) != 0 {
+		t.Fatalf("fault-free run produced health events: %v", events)
 	}
 	a, err := json.Marshal(off)
 	if err != nil {
@@ -53,7 +55,7 @@ func TestHealthDisabledIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("health tracking changed a fault-free run's Result")
+		t.Fatal("health tracking changed a fault-free run's Snapshots")
 	}
 }
 
@@ -82,7 +84,7 @@ func TestHealthStateMachineTransitions(t *testing.T) {
 	}
 	want := func(s HealthState) {
 		t.Helper()
-		if got := c.NodeHealth(0); got != s {
+		if got := c.Snapshot().Nodes[0].Health; got != s {
 			t.Fatalf("node 0 in state %v, want %v (events: %v)", got, s, c.healthEvents)
 		}
 	}
@@ -92,7 +94,7 @@ func TestHealthStateMachineTransitions(t *testing.T) {
 	want(Suspect)
 	epoch(true, false, 40)
 	want(Healthy)
-	if c.NodeHealth(1) != Healthy {
+	if c.Snapshot().Nodes[1].Health != Healthy {
 		t.Fatal("bystander node left healthy state")
 	}
 
@@ -202,9 +204,10 @@ func TestChaosClusterCrashQuarantineReclaims(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
-		if c.NodeHealth(0) == Quarantined {
+		if c.Snapshot().Nodes[0].Health == Quarantined {
 			sawQuarantine = true
-			if got := c.Assignments()[0]; math.Abs(got-c.floor) > 1e-9 {
+			caps, budget := snapCaps(c), c.Snapshot().Budget
+			if got := caps[0]; math.Abs(got-c.floor) > 1e-9 {
 				t.Fatalf("epoch %d: quarantined node holds %.3f W, want the %.0f W floor", e, got, c.floor)
 			}
 			if c.ReclaimedWatts() <= 0 {
@@ -212,22 +215,22 @@ func TestChaosClusterCrashQuarantineReclaims(t *testing.T) {
 			}
 			// The reclaimed watts are in the survivors' caps: everything
 			// above the floor went to nodes that can use it.
-			rest := sumOf(c.Assignments()[1:])
-			if math.Abs(rest-(c.Budget()-c.floor)) > 1e-6 {
-				t.Fatalf("epoch %d: survivors hold %.3f W, want budget-floor = %.3f", e, rest, c.Budget()-c.floor)
+			rest := sumOf(caps[1:])
+			if math.Abs(rest-(budget-c.floor)) > 1e-6 {
+				t.Fatalf("epoch %d: survivors hold %.3f W, want budget-floor = %.3f", e, rest, budget-c.floor)
 			}
 		}
 	}
 	if !sawQuarantine {
 		t.Fatal("crashed node was never quarantined")
 	}
-	if got := c.NodeHealth(0); got != Healthy {
+	if got := c.Snapshot().Nodes[0].Health; got != Healthy {
 		t.Fatalf("node 0 ended in state %v, want healthy after the fault cleared", got)
 	}
 	if w := c.ReclaimedWatts(); w != 0 {
 		t.Fatalf("reclaimed %.3f W after recovery, want 0", w)
 	}
-	if got := c.Assignments()[0]; got <= c.floor {
+	if got := snapCaps(c)[0]; got <= c.floor {
 		t.Fatalf("re-admitted node still pinned at %.3f W", got)
 	}
 	// The crash forfeits simulated time permanently: the node's session
@@ -235,13 +238,13 @@ func TestChaosClusterCrashQuarantineReclaims(t *testing.T) {
 	if c.skew[0] == 0 {
 		t.Fatal("crashed node recorded no forfeit skew")
 	}
-	res := c.Result()
-	if len(res.HealthEvents) == 0 || len(res.ChaosEvents) != 2 {
-		t.Fatalf("Result carries %d health and %d chaos events, want >0 and 2 (onset+clearance)",
-			len(res.HealthEvents), len(res.ChaosEvents))
+	health, chaos := c.HealthEvents(), c.ChaosEvents()
+	if len(health) == 0 || len(chaos) != 2 {
+		t.Fatalf("coordinator logged %d health and %d chaos events, want >0 and 2 (onset+clearance)",
+			len(health), len(chaos))
 	}
-	if !res.ChaosEvents[0].Active || res.ChaosEvents[1].Active {
-		t.Fatalf("chaos event log out of order: %+v", res.ChaosEvents)
+	if !chaos[0].Active || chaos[1].Active {
+		t.Fatalf("chaos event log out of order: %+v", chaos)
 	}
 }
 
@@ -280,12 +283,12 @@ func TestChaosClusterHangStrandsNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return sumOf(c.Assignments()[1:]), c
+		return sumOf(snapCaps(c)[1:]), c
 	}
 	naive, _ := run(nil)
 	guarded, c := run(healthOn())
-	if c.NodeHealth(0) != Quarantined {
-		t.Fatalf("hung node in state %v, want quarantined", c.NodeHealth(0))
+	if got := c.Snapshot().Nodes[0].Health; got != Quarantined {
+		t.Fatalf("hung node in state %v, want quarantined", got)
 	}
 	// The hung node froze a real (pre-hang) demand report, so the naive
 	// demand-shift policy keeps granting it a real share; quarantine frees
@@ -294,8 +297,8 @@ func TestChaosClusterHangStrandsNaive(t *testing.T) {
 		t.Fatalf("survivors hold %.3f W under quarantine vs %.3f W naive — quarantine must reclaim the stranded share",
 			guarded, naive)
 	}
-	if math.Abs(guarded-(c.Budget()-c.floor)) > 1e-6 {
-		t.Fatalf("survivors hold %.3f W, want budget-floor = %.3f", guarded, c.Budget()-c.floor)
+	if budget := c.Snapshot().Budget; math.Abs(guarded-(budget-c.floor)) > 1e-6 {
+		t.Fatalf("survivors hold %.3f W, want budget-floor = %.3f", guarded, budget-c.floor)
 	}
 }
 
@@ -324,7 +327,7 @@ func TestChaosClusterCrashRecoversThroughputVsNaive(t *testing.T) {
 			}
 		}
 		rate := 0.0
-		for _, n := range c.Result().Nodes[1:] {
+		for _, n := range c.Snapshot().Nodes[1:] {
 			rate += n.MeanRate
 		}
 		return rate
@@ -408,7 +411,7 @@ func TestChaosClusterDemandCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.NodeHealth(0); got != Quarantined && got != Recovering {
+	if got := c.Snapshot().Nodes[0].Health; got != Quarantined && got != Recovering {
 		t.Fatalf("corrupt-demand node in state %v, want benched", got)
 	}
 	// The node itself kept stepping: corruption hits the report, not the
@@ -427,9 +430,15 @@ func TestChaosClusterDemandCorrupt(t *testing.T) {
 
 // TestChaosClusterParallelDeterminism: chaos evaluation and panic recovery
 // are position-indexed like everything else — a faulted hierarchical run
-// must be byte-identical at parallelism 1 vs 8.
+// must be byte-identical at parallelism 1 vs 8: every epoch's Snapshot and
+// both event logs.
 func TestChaosClusterParallelDeterminism(t *testing.T) {
-	run := func(parallel int) *Result {
+	type outcome struct {
+		Snapshots    []Snapshot
+		HealthEvents []HealthEvent
+		ChaosEvents  []ChaosEvent
+	}
+	run := func(parallel int) outcome {
 		c, err := NewCoordinator(Config{
 			Nodes:       gridCluster(t, 8),
 			BudgetWatts: 800,
@@ -452,12 +461,15 @@ func TestChaosClusterParallelDeterminism(t *testing.T) {
 		if _, err := c.InjectDomainFault("rack1", faults.Scenario{Kind: faults.KindCorrupt, Target: faults.TargetDemand, Onset: 2 * time.Second, Duration: 2 * time.Second, Magnitude: 5}); err != nil {
 			t.Fatal(err)
 		}
+		var o outcome
 		for i := 0; i < 8; i++ {
 			if err := c.Step(time.Second); err != nil {
 				t.Fatal(err)
 			}
+			o.Snapshots = append(o.Snapshots, c.Snapshot())
 		}
-		return c.Result()
+		o.HealthEvents, o.ChaosEvents = c.HealthEvents(), c.ChaosEvents()
+		return o
 	}
 	seq := run(1)
 	par := run(8)
@@ -467,7 +479,7 @@ func TestChaosClusterParallelDeterminism(t *testing.T) {
 	a, _ := json.Marshal(seq)
 	b, _ := json.Marshal(par)
 	if string(a) != string(b) {
-		t.Fatal("faulted parallel Result is not byte-identical to sequential Result")
+		t.Fatal("faulted parallel run is not byte-identical to sequential run")
 	}
 	if len(seq.HealthEvents) == 0 || len(seq.ChaosEvents) == 0 {
 		t.Fatal("faulted run produced no health/chaos events")
@@ -545,10 +557,10 @@ func TestStepResumeAfterCancel(t *testing.T) {
 	if err := c.Step(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rows := len(c.Result().CapTrace)
+	caps := snapCaps(c)
 
-	// An already-cancelled context: the sweep aborts, the coordinator's
-	// clock must not move and no epoch may be recorded.
+	// An already-cancelled context: the sweep aborts, and neither the
+	// coordinator's clock nor the assignment may move.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := c.StepContext(ctx, time.Second); err == nil {
@@ -557,8 +569,8 @@ func TestStepResumeAfterCancel(t *testing.T) {
 	if c.Now() != time.Second {
 		t.Fatalf("cancelled step moved the clock to %v", c.Now())
 	}
-	if got := len(c.Result().CapTrace); got != rows {
-		t.Fatalf("cancelled step recorded a CapTrace row (%d vs %d)", got, rows)
+	if got := snapCaps(c); !reflect.DeepEqual(got, caps) {
+		t.Fatalf("cancelled step moved the assignment to %v from %v", got, caps)
 	}
 
 	// Simulate the mid-epoch residue a cancellation leaves: one session
@@ -578,8 +590,8 @@ func TestStepResumeAfterCancel(t *testing.T) {
 			t.Fatalf("node %d at %v after resume, coordinator at %v", i, got, c.Now())
 		}
 	}
-	if got := sumOf(c.Assignments()); math.Abs(got-c.Budget()) > 1e-9 {
-		t.Fatalf("post-resume assignment sums to %.9f, want the %.0f W budget", got, c.Budget())
+	if got, budget := sumOf(snapCaps(c)), c.Snapshot().Budget; math.Abs(got-budget) > 1e-9 {
+		t.Fatalf("post-resume assignment sums to %.9f, want the %.0f W budget", got, budget)
 	}
 
 	// A genuinely mid-step cancellation (deadline inside the epoch): either
@@ -666,9 +678,10 @@ func TestChaosClusterPropertyInvariants(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
+		caps := snapCaps(c)
 		for i := 0; i < 16; i++ {
 			if c.benched(i) {
-				if got := c.Assignments()[i]; got < c.floor-1e-9 {
+				if got := caps[i]; got < c.floor-1e-9 {
 					t.Fatalf("op %d: benched node %d below the floor: %.6f", op, i, got)
 				}
 			}

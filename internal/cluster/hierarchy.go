@@ -99,8 +99,8 @@ func (d *domain) nodes() int { return d.hi - d.lo }
 
 // buildTree constructs the domain tree for n nodes under topo, returning
 // the root and every domain in breadth-first order (root first, then rows,
-// then racks) — the order snapshots, traces, and metrics present domains
-// in. Budgets are not assigned here; the coordinator seeds them from the
+// then racks) — the order snapshots and metrics present domains in.
+// Budgets are not assigned here; the coordinator seeds them from the
 // initial per-node assignment so they are exact sums.
 func buildTree(n int, topo Topology) (*domain, []*domain, error) {
 	if err := topo.Validate(); err != nil {

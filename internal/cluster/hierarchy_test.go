@@ -160,7 +160,8 @@ func TestNormalizeFloors(t *testing.T) {
 // at every level of the budget-domain tree: the root carries the global
 // budget, every interior domain's children sum to its budget, every domain
 // sits at or above its fairness floor, and (when no manual reassignment is
-// pending) every leaf's member caps sum to the leaf budget.
+// pending) every leaf's member caps sum to the leaf budget. The Snapshot
+// must report exactly those caps and domain budgets.
 func checkTreeInvariants(t *testing.T, c *Coordinator, balanced bool, op int) {
 	t.Helper()
 	const eps = 1e-6
@@ -190,14 +191,18 @@ func checkTreeInvariants(t *testing.T, c *Coordinator, balanced bool, op int) {
 			t.Fatalf("op %d: node %d assigned %.6f W, below the %.0f W floor", op, i, a, c.floor)
 		}
 	}
-	if len(c.capTrace) != len(c.domainTrace) {
-		t.Fatalf("op %d: CapTrace has %d rows but DomainTrace %d — traces must stay aligned",
-			op, len(c.capTrace), len(c.domainTrace))
+	sn := c.Snapshot()
+	for i, n := range sn.Nodes {
+		if n.CapWatts != c.assigned[i] {
+			t.Fatalf("op %d: snapshot reports node %d at %.9f W, assigned %.9f W", op, i, n.CapWatts, c.assigned[i])
+		}
 	}
-	last := c.domainTrace[len(c.domainTrace)-1]
+	if len(sn.Domains) != len(c.domains) {
+		t.Fatalf("op %d: snapshot has %d domains, want %d", op, len(sn.Domains), len(c.domains))
+	}
 	for i, d := range c.domains {
-		if last[i] != d.budget {
-			t.Fatalf("op %d: DomainTrace last row %v does not match current budgets", op, last)
+		if ds := sn.Domains[i]; ds.Name != d.name || ds.BudgetWatts != d.budget {
+			t.Fatalf("op %d: snapshot domain %s at %.9f W, want %s at %.9f W", op, ds.Name, ds.BudgetWatts, d.name, d.budget)
 		}
 	}
 }
@@ -229,7 +234,6 @@ func TestHierarchyProperties(t *testing.T) {
 			if c.DomainCount() != 9 {
 				t.Fatalf("DomainCount = %d, want 9", c.DomainCount())
 			}
-			rows := len(c.Result().CapTrace)
 			for op := 0; op < 30; op++ {
 				balanced := true
 				switch k := rng.Intn(10); {
@@ -238,31 +242,20 @@ func TestHierarchyProperties(t *testing.T) {
 					if err := c.Step(d); err != nil {
 						t.Fatalf("op %d: Step: %v", op, err)
 					}
-					rows++
 				case k < 8:
 					budget := 25*12 + rng.Float64()*1200
 					if err := c.SetBudget(budget); err != nil {
 						t.Fatalf("op %d: SetBudget(%.1f): %v", op, budget, err)
 					}
-					rows++
 				default:
 					i := rng.Intn(12)
 					watts := 25 + rng.Float64()*150
 					if err := c.SetNodeCap(i, watts); err != nil {
 						t.Fatalf("op %d: SetNodeCap(%d, %.1f): %v", op, i, watts, err)
 					}
-					rows++
 					balanced = false
 				}
 				checkTreeInvariants(t, c, balanced, op)
-				if got := len(c.Result().CapTrace); got != rows {
-					t.Fatalf("op %d: CapTrace has %d rows, want %d", op, got, rows)
-				}
-			}
-			res := c.Result()
-			if len(res.DomainNames) != 9 || len(res.DomainTrace) != rows {
-				t.Fatalf("Result carries %d domain names and %d trace rows, want 9 and %d",
-					len(res.DomainNames), len(res.DomainTrace), rows)
 			}
 		})
 	}
@@ -270,9 +263,9 @@ func TestHierarchyProperties(t *testing.T) {
 
 // TestHierarchyParallelStepDeterminism: hierarchical stepping must be
 // byte-identical at parallelism 1 vs 8, across parent rebalances and live
-// reassignments, in both the Result and the Snapshot.
+// reassignments, in the Snapshot after every operation.
 func TestHierarchyParallelStepDeterminism(t *testing.T) {
-	run := func(parallel int) (*Result, Snapshot) {
+	run := func(parallel int) []Snapshot {
 		c, err := NewCoordinator(Config{
 			Nodes:       gridCluster(t, 8),
 			BudgetWatts: 800,
@@ -285,39 +278,27 @@ func TestHierarchyParallelStepDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			if err := c.Step(time.Second); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.SetBudget(600); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.SetNodeCap(3, 60); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Step(750 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return c.Result(), c.Snapshot()
+		step := func() error { return c.Step(time.Second) }
+		return snapshotsAfter(t, c, step, step, step, step,
+			func() error { return c.SetBudget(600) },
+			func() error { return c.SetNodeCap(3, 60) },
+			func() error { return c.Step(750 * time.Millisecond) })
 	}
-	seqRes, seqSnap := run(1)
-	parRes, parSnap := run(8)
-	if !reflect.DeepEqual(seqRes, parRes) {
+	seq := run(1)
+	par := run(8)
+	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("hierarchical parallel Step diverged from sequential Step")
 	}
-	for _, pair := range [][2]interface{}{{seqRes, parRes}, {seqSnap, parSnap}} {
-		a, err := json.Marshal(pair[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Fatal("hierarchical parallel run is not byte-identical to sequential run")
-		}
+	a, err := json.Marshal(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("hierarchical parallel run is not byte-identical to sequential run")
 	}
 }
 
@@ -341,7 +322,7 @@ func TestHierarchyEvenMatchesFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return c.Assignments()
+		return snapCaps(c)
 	}
 	flat := run(Topology{})
 	tree := run(Topology{NodesPerRack: 2, RacksPerRow: 2})
@@ -485,13 +466,13 @@ func TestCoordinatorEdgeCases(t *testing.T) {
 		if err := c.Step(time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Assignments()[0]; math.Abs(got-100) > 1e-9 {
+		if got := snapCaps(c)[0]; math.Abs(got-100) > 1e-9 {
 			t.Errorf("single node assigned %.3f W, want the full 100 W budget", got)
 		}
 		if err := c.SetBudget(60); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Assignments()[0]; math.Abs(got-60) > 1e-9 {
+		if got := snapCaps(c)[0]; math.Abs(got-60) > 1e-9 {
 			t.Errorf("single node assigned %.3f W after SetBudget, want 60", got)
 		}
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -13,12 +12,14 @@ import (
 )
 
 // TestRetainedSoak runs what pupild serves for 10⁶ kernel ticks, 1000 s of
-// simulated time: one retained session stepped as a node is, and a
-// four-node, health-on coordinator stepped an epoch at a time. Once warm
-// (at 10 s) neither may grow: the live heap after a GC stays within 8 KB
-// per session of its 10 s value, and the goroutine count is unchanged. The
-// coordinator retains its epoch, as pupild's clusters do, so its own cap
-// trace counts in that bound too.
+// simulated time: one retained session stepped as a node is, a four-node,
+// health-on coordinator stepped an epoch at a time, and a four-node,
+// two-rack coordinator whose budget and node caps are reassigned every 7
+// and every 11 of its 100 ms epochs, so both reassignments have run before
+// the first measurement. Once warm (at 10 s) none may grow: the live heap after a GC stays
+// within 8 KB per session of its 10 s value, and the goroutine count is
+// unchanged. The coordinators are built as pupild builds them, with no
+// call to bound their memory.
 func TestRetainedSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁶-tick soak")
@@ -53,29 +54,67 @@ func TestRetainedSoak(t *testing.T) {
 	})
 
 	t.Run("coordinator", func(t *testing.T) {
-		c, err := NewCoordinator(Config{
+		soakCoordinator(t, warm, horizon, Config{
 			Nodes:       mixedCluster(t, "PUPiL"),
 			BudgetWatts: 400,
 			Epoch:       time.Second,
 			Policy:      DemandShiftPolicy{},
 			Seed:        3,
 			Health:      healthOn(),
+		}, nil)
+	})
+
+	t.Run("hierarchy", func(t *testing.T) {
+		soakCoordinator(t, warm, horizon, Config{
+			Nodes:       mixedCluster(t, "RAPL"),
+			BudgetWatts: 400,
+			Epoch:       100 * time.Millisecond,
+			Policy:      DemandShiftPolicy{},
+			Seed:        5,
+			Topology:    Topology{NodesPerRack: 2},
+		}, func(epoch int, c *Coordinator) error {
+			if epoch%7 == 0 {
+				if err := c.SetBudget(float64(360 + epoch%5*20)); err != nil {
+					return err
+				}
+			}
+			if epoch%11 == 0 {
+				return c.SetNodeCap(epoch%4, 90)
+			}
+			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Retain(c.Epoch())
-		var sn Snapshot
-		soak(t, c.NodeCount(), warm, horizon, func(d time.Duration) {
-			for end := c.Now() + d; c.Now() < end; {
-				if err := c.Step(c.Epoch()); err != nil {
+	})
+}
+
+// soakCoordinator builds a coordinator from cfg and soaks it an epoch at a
+// time, reading a Snapshot after each Step as pupild does; reassign, when
+// set, runs before each epoch's Step and every step is checked against
+// the coordinator's invariants.
+func soakCoordinator(t *testing.T, warm, horizon time.Duration, cfg Config, reassign func(epoch int, c *Coordinator) error) {
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sn Snapshot
+	epoch := 0
+	soak(t, c.NodeCount(), warm, horizon, func(d time.Duration) {
+		for end := c.Now() + d; c.Now() < end; {
+			epoch++
+			if reassign != nil {
+				if err := reassign(epoch, c); err != nil {
 					t.Fatal(err)
 				}
-				c.SnapshotInto(&sn)
 			}
-		})
-		runtime.KeepAlive(c)
+			if err := c.Step(c.Epoch()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			c.SnapshotInto(&sn)
+		}
 	})
+	runtime.KeepAlive(c)
 }
 
 // soak runs run(warm), measures, runs the rest of the horizon and checks
@@ -108,74 +147,4 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
-}
-
-// TestCoordinatorRetain: a coordinator retaining its epoch keeps exactly the
-// trailing rows of what an unretained twin records — both traces,
-// row-aligned, with budget and node-cap changes between epochs — while its
-// trace stops growing, and once warm its trace recording allocates nothing.
-func TestCoordinatorRetain(t *testing.T) {
-	build := func() *Coordinator {
-		c, err := NewCoordinator(Config{
-			Nodes:       mixedCluster(t, "RAPL"),
-			BudgetWatts: 400,
-			Epoch:       100 * time.Millisecond,
-			Policy:      DemandShiftPolicy{},
-			Seed:        5,
-			Topology:    Topology{NodesPerRack: 2},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	full, kept := build(), build()
-	kept.Retain(kept.Epoch())
-	for epoch := 1; epoch <= 300; epoch++ {
-		for _, c := range []*Coordinator{full, kept} {
-			if epoch%7 == 0 {
-				if err := c.SetBudget(float64(360 + epoch%5*20)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if epoch%11 == 0 {
-				if err := c.SetNodeCap(epoch%4, 90); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Step(c.Epoch()); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		n := len(kept.capTrace)
-		if len(kept.rowT) != n || len(kept.domainTrace) != n {
-			t.Fatalf("epoch %d: %d cap rows, %d row times, %d domain rows", epoch, n, len(kept.rowT), len(kept.domainTrace))
-		}
-		if n > 16 {
-			t.Fatalf("epoch %d: retained coordinator holds %d rows", epoch, n)
-		}
-		if kept.rowT[0] > kept.now-kept.keep {
-			t.Fatalf("epoch %d: oldest row at %v leaves the window from %v uncovered", epoch, kept.rowT[0], kept.now-kept.keep)
-		}
-		off := len(full.capTrace) - n
-		for i := 0; i < n; i++ {
-			if !slices.Equal(kept.capTrace[i], full.capTrace[off+i]) || !slices.Equal(kept.domainTrace[i], full.domainTrace[off+i]) {
-				t.Fatalf("epoch %d: retained row %d differs from the full trace's row %d", epoch, i, off+i)
-			}
-		}
-	}
-	// A thousand more epochs' rows, with nothing else running: once warm,
-	// each reuses a dropped row's storage.
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 1000; i++ {
-			kept.now += kept.Epoch()
-			kept.record()
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("1000 warm retained epochs' rows allocated %.0f times", allocs)
-	}
 }

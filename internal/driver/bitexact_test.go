@@ -101,15 +101,8 @@ func TestSessionBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := Scenario{Platform: p, Specs: specs(t, row.threads, row.apps...), CapWatts: row.capW,
-				Controller: ctrl, Seed: 33}
-			if row.dog {
-				sc.Watchdog = &WatchdogConfig{}
-			}
-			if row.gov {
-				sc.ThermalGovernor = &ThermalGovernorConfig{}
-			}
-			s, err := NewSession(sc)
+			s, err := NewSession(Scenario{Platform: p, Specs: specs(t, row.threads, row.apps...), CapWatts: row.capW,
+				Controller: ctrl, Seed: 33, Watchdog: row.dog, ThermalGovernor: row.gov})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,17 +74,16 @@ type Scenario struct {
 	// Faults is the deterministic fault profile injected into the run
 	// (empty means a healthy machine; every hook is then the identity).
 	Faults faults.Profile
-	// Watchdog, when non-nil, enables the supervision layer: sustained cap
-	// breach or a stalled decision loop degrades the run to hardware-only
-	// capping, with exponential-backoff recovery probes. Zero fields take
-	// defaults.
-	Watchdog *WatchdogConfig
-	// ThermalGovernor, when non-nil, enables the thermal-headroom
-	// governor: the RAPL cap is pre-emptively tightened as the junction
-	// approaches TjMax instead of waiting for the package protection's
-	// duty-cycle cliff. Requires a thermal platform and hardware capping
-	// support (silently inert otherwise). Zero fields take defaults.
-	ThermalGovernor *ThermalGovernorConfig
+	// Watchdog enables the supervision layer: sustained cap breach or a
+	// stalled decision loop degrades the run to hardware-only capping,
+	// with exponential-backoff recovery probes.
+	Watchdog bool
+	// ThermalGovernor enables the thermal-headroom governor: the RAPL cap
+	// is pre-emptively tightened as the junction approaches TjMax instead
+	// of waiting for the package protection's duty-cycle cliff. Requires a
+	// thermal platform and hardware capping support (silently inert
+	// otherwise).
+	ThermalGovernor bool
 }
 
 // Result is the outcome of a run.
@@ -251,8 +250,8 @@ func buildWorld(s Scenario) (*world, *sim.Runner, error) {
 	w.faults.SetClock(w.now)
 
 	sup := &supervised{inner: s.Controller, w: w}
-	if s.Watchdog != nil {
-		w.dog = newWatchdog(w, s.Watchdog.withDefaults())
+	if s.Watchdog {
+		w.dog = newWatchdog(w)
 		sup.dog = w.dog
 	}
 	w.ctrl = sup
@@ -268,7 +267,7 @@ func buildWorld(s Scenario) (*world, *sim.Runner, error) {
 	// The thermal-headroom governor sits between the firmware and the
 	// controller: a firmware-adjacent protection rung that tightens the
 	// cap registers before the technique's next decision reads them.
-	if s.ThermalGovernor != nil && s.Platform.Thermal != nil && !s.NoRAPL {
+	if s.ThermalGovernor && s.Platform.Thermal != nil && !s.NoRAPL {
 		w.govScale = make([]float64, s.Platform.Sockets)
 		w.govEngaged = make([]bool, s.Platform.Sockets)
 		for i := range w.govScale {
@@ -276,7 +275,6 @@ func buildWorld(s Scenario) (*world, *sim.Runner, error) {
 		}
 		tickers = append(tickers, &thermalGovernor{
 			w:       w,
-			cfg:     s.ThermalGovernor.withDefaults(),
 			scratch: make([]float64, 0, s.Platform.Sockets),
 		})
 	}

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// ThermalGovernorConfig tunes the thermal-headroom governor: a
+// The thermal-headroom governor's settings. The governor is a
 // firmware-adjacent control rung that pre-emptively tightens the
 // per-socket RAPL cap as the junction temperature approaches TjMax. The
 // package's own protection — ThrottleDuty clock modulation — is a blunt
@@ -13,51 +13,32 @@ import (
 // already reached; the governor instead shaves the power budget
 // proportionally to the vanishing headroom, holding the junction just
 // below the trip point while the capping technique keeps optimizing under
-// the tightened budget. Zero fields take defaults.
-type ThermalGovernorConfig struct {
-	// Period is the governor's decision cadence.
-	Period time.Duration
-	// HeadroomC is the guard band below TjMax where tightening begins:
-	// at TjMax−HeadroomC the scale is 1, falling linearly to MinScale as
-	// the junction nears TjMax.
-	HeadroomC float64
-	// ReleaseC is the extra cooling below the guard band required before
-	// a socket fully disengages (hysteresis against cap flapping).
-	ReleaseC float64
-	// MinScale floors the cap multiplier so a hot socket is squeezed, not
-	// starved.
-	MinScale float64
-}
-
-// DefaultThermalGovernor returns the governor configuration used by the
-// thermal experiments and pupild nodes that arm the governor.
-func DefaultThermalGovernor() *ThermalGovernorConfig { return &ThermalGovernorConfig{} }
-
-func (c ThermalGovernorConfig) withDefaults() ThermalGovernorConfig {
-	if c.Period <= 0 {
-		c.Period = 50 * time.Millisecond
-	}
-	if c.HeadroomC <= 0 {
-		// Narrow on purpose: proportional control droops. The governed
-		// equilibrium sits where the scaled cap equals the sustainable
-		// power, at T = TjMax − scale·HeadroomC — so the stranded headroom
-		// is proportional to the band width. A 3 C band parks the junction
-		// ~2 C below TjMax and gives away enough sustainable Watts that
-		// the reactive duty-cycle throttle (whose oscillation straddles
-		// TjMax itself) delivers more cycle-average performance. At 1 C
-		// the droop shrinks to well under a degree while the discrete loop
-		// gain (period/tau)·(1 + Rth·perSocketCap/HeadroomC) stays below
-		// one for any realistic per-socket cap.
-		c.HeadroomC = 1
-	}
-	if c.ReleaseC <= 0 {
-		c.ReleaseC = 2
-	}
-	if c.MinScale <= 0 {
-		c.MinScale = 0.4
-	}
-	return c
-}
+// the tightened budget.
+const (
+	// govPeriod is the governor's decision cadence.
+	govPeriod = 50 * time.Millisecond
+	// govHeadroomC is the guard band below TjMax where tightening begins:
+	// at TjMax−govHeadroomC the scale is 1, falling linearly to
+	// govMinScale as the junction nears TjMax.
+	//
+	// Narrow on purpose: proportional control droops. The governed
+	// equilibrium sits where the scaled cap equals the sustainable power,
+	// at T = TjMax − scale·govHeadroomC — so the stranded headroom is
+	// proportional to the band width. A 3 C band parks the junction ~2 C
+	// below TjMax and gives away enough sustainable Watts that the
+	// reactive duty-cycle throttle (whose oscillation straddles TjMax
+	// itself) delivers more cycle-average performance. At 1 C the droop
+	// shrinks to well under a degree while the discrete loop gain
+	// (period/tau)·(1 + Rth·perSocketCap/govHeadroomC) stays below one for
+	// any realistic per-socket cap.
+	govHeadroomC float64 = 1
+	// govReleaseC is the extra cooling below the guard band required
+	// before a socket fully disengages (hysteresis against cap flapping).
+	govReleaseC float64 = 2
+	// govMinScale floors the cap multiplier so a hot socket is squeezed,
+	// not starved.
+	govMinScale float64 = 0.4
+)
 
 // thermalGovernor is the sim.Ticker driving the headroom loop. Each tick
 // it recomputes the per-socket cap scale from the live junction
@@ -68,17 +49,16 @@ func (c ThermalGovernorConfig) withDefaults() ThermalGovernorConfig {
 // release.
 type thermalGovernor struct {
 	w       *world
-	cfg     ThermalGovernorConfig
 	scratch []float64
 }
 
-func (g *thermalGovernor) Period() time.Duration { return g.cfg.Period }
+func (g *thermalGovernor) Period() time.Duration { return govPeriod }
 
 func (g *thermalGovernor) Tick(now time.Duration) {
 	w := g.w
 	th := w.plat.Thermal
 	w.govTotalTicks++
-	enter := th.TjMaxC - g.cfg.HeadroomC
+	enter := th.TjMaxC - govHeadroomC
 	changed := false
 	engagedAny := false
 	for s := range w.tempC {
@@ -86,14 +66,14 @@ func (g *thermalGovernor) Tick(now time.Duration) {
 		engaged := w.govEngaged[s]
 		if !engaged && t >= enter {
 			engaged = true
-		} else if engaged && t < enter-g.cfg.ReleaseC {
+		} else if engaged && t < enter-govReleaseC {
 			engaged = false
 		}
 		scale := 1.0
 		if engaged {
-			scale = (th.TjMaxC - t) / g.cfg.HeadroomC
-			if scale < g.cfg.MinScale {
-				scale = g.cfg.MinScale
+			scale = (th.TjMaxC - t) / govHeadroomC
+			if scale < govMinScale {
+				scale = govMinScale
 			}
 			if scale > 1 {
 				scale = 1

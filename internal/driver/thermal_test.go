@@ -84,7 +84,7 @@ func TestThermalGovernorHoldsTjMax(t *testing.T) {
 		Controller:      control.NewRAPLOnly(),
 		Duration:        30 * time.Second,
 		Seed:            11,
-		ThermalGovernor: DefaultThermalGovernor(),
+		ThermalGovernor: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestThermalGovernorBeatsDutyCycleThrottle(t *testing.T) {
 	}
 	governed := base
 	governed.Platform = hotPlatform()
-	governed.ThermalGovernor = DefaultThermalGovernor()
+	governed.ThermalGovernor = true
 	resGov, err := Run(governed)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestSessionThermalSnapshot(t *testing.T) {
 		CapWatts:        220,
 		Controller:      control.NewRAPLOnly(),
 		Seed:            5,
-		ThermalGovernor: DefaultThermalGovernor(),
+		ThermalGovernor: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,97 +51,40 @@ type DegradeEvent struct {
 	Reason   string
 }
 
-// WatchdogConfig tunes the supervision layer. The zero value of any field
-// selects the default; DefaultWatchdog returns the defaults explicitly.
-type WatchdogConfig struct {
-	// Period is the supervision tick.
-	Period time.Duration
-	// Window is the trailing power-feedback window breaches are judged on.
-	Window time.Duration
-	// BreachFactor scales the cap into the breach threshold (1.05 = 5%
-	// over the cap counts as a breach).
-	BreachFactor float64
-	// BreachHold is how long a breach must persist before the watchdog
+// The supervision layer's settings.
+const (
+	// dogPeriod is the supervision tick.
+	dogPeriod = 100 * time.Millisecond
+	// breachWindow is the trailing power-feedback window breaches are
+	// judged on.
+	breachWindow = time.Second
+	// breachFactor scales the cap into the breach threshold (5% over the
+	// cap counts as a breach).
+	breachFactor float64 = 1.05
+	// breachHold is how long a breach must persist before the watchdog
 	// acts — transients during re-tuning are not failures.
-	BreachHold time.Duration
-	// StartupGrace suppresses the watchdog while the run boots (sensor
+	breachHold = 1500 * time.Millisecond
+	// startupGrace suppresses the watchdog while the run boots (sensor
 	// warm-up plus the firmware's initial settling).
-	StartupGrace time.Duration
-	// StallTimeout declares the decision loop hung when no decision
-	// completes for this long. It must exceed the slowest controller
-	// period (Soft-DVFS decides every 2 s).
-	StallTimeout time.Duration
-	// ProbeBackoff is the initial delay before probing recovery; each
-	// failed probe doubles it up to MaxBackoff.
-	ProbeBackoff time.Duration
-	// MaxBackoff bounds the probe delay.
-	MaxBackoff time.Duration
-	// BackoffStep scales the programmed caps down on each escalation when
+	startupGrace = 2 * time.Second
+	// stallTimeout declares the decision loop hung when no decision
+	// completes for this long. It exceeds the slowest controller period
+	// (Soft-DVFS decides every 2 s).
+	stallTimeout = 3 * time.Second
+	// probeBackoff is the initial delay before probing recovery; each
+	// failed probe doubles it up to maxBackoff.
+	probeBackoff = 5 * time.Second
+	// maxBackoff bounds the probe delay.
+	maxBackoff = 40 * time.Second
+	// backoffStep scales the programmed caps down on each escalation when
 	// the hardware floor itself fails to hold.
-	BackoffStep float64
-	// MinCapScale floors the cap back-off.
-	MinCapScale float64
-	// RecoveryHold is how long a probe must stay healthy (live decisions,
+	backoffStep float64 = 0.85
+	// minCapScale floors the cap back-off.
+	minCapScale float64 = 0.4
+	// recoveryHold is how long a probe must stay healthy (live decisions,
 	// no sustained breach) before the watchdog returns to normal.
-	RecoveryHold time.Duration
-}
-
-// DefaultWatchdog returns the supervision defaults used throughout the
-// chaos evaluation.
-func DefaultWatchdog() *WatchdogConfig {
-	return &WatchdogConfig{
-		Period:       100 * time.Millisecond,
-		Window:       time.Second,
-		BreachFactor: 1.05,
-		BreachHold:   1500 * time.Millisecond,
-		StartupGrace: 2 * time.Second,
-		StallTimeout: 3 * time.Second,
-		ProbeBackoff: 5 * time.Second,
-		MaxBackoff:   40 * time.Second,
-		BackoffStep:  0.85,
-		MinCapScale:  0.4,
-		RecoveryHold: 3 * time.Second,
-	}
-}
-
-// withDefaults fills zero fields from DefaultWatchdog.
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	d := DefaultWatchdog()
-	if c.Period <= 0 {
-		c.Period = d.Period
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.BreachFactor <= 0 {
-		c.BreachFactor = d.BreachFactor
-	}
-	if c.BreachHold <= 0 {
-		c.BreachHold = d.BreachHold
-	}
-	if c.StartupGrace <= 0 {
-		c.StartupGrace = d.StartupGrace
-	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = d.StallTimeout
-	}
-	if c.ProbeBackoff <= 0 {
-		c.ProbeBackoff = d.ProbeBackoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = d.MaxBackoff
-	}
-	if c.BackoffStep <= 0 || c.BackoffStep >= 1 {
-		c.BackoffStep = d.BackoffStep
-	}
-	if c.MinCapScale <= 0 {
-		c.MinCapScale = d.MinCapScale
-	}
-	if c.RecoveryHold <= 0 {
-		c.RecoveryHold = d.RecoveryHold
-	}
-	return c
-}
+	recoveryHold = 3 * time.Second
+)
 
 // watchdog supervises a run: it watches the measured power against the cap
 // and the decision loop's liveness, degrades to the hardware safety floor
@@ -153,8 +96,7 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 // power sensor the software layer uses: a supervisor with oracle access
 // would prove nothing about the design.
 type watchdog struct {
-	w   *world
-	cfg WatchdogConfig
+	w *world
 
 	level        DegradeLevel
 	prevDegraded DegradeLevel // rung to return to on probe failure
@@ -175,21 +117,21 @@ type watchdog struct {
 	events []DegradeEvent
 }
 
-func newWatchdog(w *world, cfg WatchdogConfig) *watchdog {
-	return &watchdog{w: w, cfg: cfg, backoff: cfg.ProbeBackoff, capScale: 1, prevDegraded: DegradeHardwareOnly}
+func newWatchdog(w *world) *watchdog {
+	return &watchdog{w: w, backoff: probeBackoff, capScale: 1, prevDegraded: DegradeHardwareOnly}
 }
 
 // Period implements sim.Ticker.
-func (d *watchdog) Period() time.Duration { return d.cfg.Period }
+func (d *watchdog) Period() time.Duration { return dogPeriod }
 
 // Tick implements sim.Ticker: one supervision decision.
 func (d *watchdog) Tick(now time.Duration) {
-	if now < d.cfg.StartupGrace {
+	if now < startupGrace {
 		return
 	}
 	capW := d.w.capW
-	power, n := d.w.powerSensor.Window().FilteredMean(now - d.cfg.Window)
-	breach := n >= 3 && power > capW*d.cfg.BreachFactor
+	power, n := d.w.powerSensor.Window().FilteredMean(now - breachWindow)
+	breach := n >= 3 && power > capW*breachFactor
 	if breach {
 		d.breachTicks++
 		if !d.breaching {
@@ -198,13 +140,13 @@ func (d *watchdog) Tick(now time.Duration) {
 	} else {
 		d.breaching = false
 	}
-	sustained := d.breaching && now-d.breachSince >= d.cfg.BreachHold
+	sustained := d.breaching && now-d.breachSince >= breachHold
 
 	switch d.level {
 	case DegradeNormal:
 		// The stall boundary is inclusive, matching the breach hold: a
-		// loop silent for exactly StallTimeout is already stalled.
-		if d.haveDecision && now-d.lastDecision >= d.cfg.StallTimeout {
+		// loop silent for exactly stallTimeout is already stalled.
+		if d.haveDecision && now-d.lastDecision >= stallTimeout {
 			d.degrade(now, "decision loop stalled")
 		} else if sustained {
 			d.degrade(now, fmt.Sprintf("sustained breach: %.1f W over %.0f W cap", power, capW))
@@ -225,11 +167,11 @@ func (d *watchdog) Tick(now time.Duration) {
 		switch {
 		case sustained:
 			d.probeFailed(now, "probe failed: cap breached")
-		case now-d.lastDecision >= d.cfg.StallTimeout:
+		case now-d.lastDecision >= stallTimeout:
 			d.probeFailed(now, "probe failed: still stalled")
-		case !d.wantRestart && now-d.probeStarted >= d.cfg.RecoveryHold:
+		case !d.wantRestart && now-d.probeStarted >= recoveryHold:
 			d.capScale = 1
-			d.backoff = d.cfg.ProbeBackoff
+			d.backoff = probeBackoff
 			d.transition(now, DegradeNormal, "recovered")
 		}
 	}
@@ -246,9 +188,9 @@ func (d *watchdog) degrade(now time.Duration, reason string) {
 
 // escalate backs the programmed caps off another step.
 func (d *watchdog) escalate(now time.Duration) {
-	d.capScale *= d.cfg.BackoffStep
-	if d.capScale < d.cfg.MinCapScale {
-		d.capScale = d.cfg.MinCapScale
+	d.capScale *= backoffStep
+	if d.capScale < minCapScale {
+		d.capScale = minCapScale
 	}
 	d.transition(now, DegradeBackoff,
 		fmt.Sprintf("floor breached; caps backed off to %.0f%%", d.capScale*100))
@@ -260,8 +202,8 @@ func (d *watchdog) escalate(now time.Duration) {
 // probeFailed re-degrades and doubles the backoff.
 func (d *watchdog) probeFailed(now time.Duration, reason string) {
 	d.backoff *= 2
-	if d.backoff > d.cfg.MaxBackoff {
-		d.backoff = d.cfg.MaxBackoff
+	if d.backoff > maxBackoff {
+		d.backoff = maxBackoff
 	}
 	d.wantRestart = false
 	d.breaching = false
@@ -331,7 +273,7 @@ func (d *watchdog) eventsCopy() []DegradeEvent {
 
 // breachSeconds converts observed breach ticks to seconds.
 func (d *watchdog) breachSeconds() float64 {
-	return float64(d.breachTicks) * d.cfg.Period.Seconds()
+	return float64(d.breachTicks) * dogPeriod.Seconds()
 }
 
 // supervised wraps the real controller with the fault and supervision

@@ -24,24 +24,9 @@ func TestDegradeLevelString(t *testing.T) {
 	}
 }
 
-func TestWatchdogConfigDefaults(t *testing.T) {
-	d := DefaultWatchdog()
-	if d.Period <= 0 || d.StallTimeout <= 0 || d.BreachFactor <= 1 || d.MinCapScale <= 0 {
-		t.Errorf("DefaultWatchdog() = %+v has degenerate fields", d)
-	}
-	filled := (&WatchdogConfig{}).withDefaults()
-	if filled != *d {
-		t.Errorf("withDefaults() = %+v, want %+v", filled, *d)
-	}
-	custom := (&WatchdogConfig{StallTimeout: time.Minute}).withDefaults()
-	if custom.StallTimeout != time.Minute || custom.Period != d.Period {
-		t.Errorf("withDefaults() clobbered explicit fields: %+v", custom)
-	}
-}
-
 // stallScenario builds a PUPiL run whose decision loop hangs at stallAt for
 // stallFor (the rest of the scenario matches the chaos experiment shape).
-func stallScenario(t *testing.T, dur, stallAt, stallFor time.Duration, dog *WatchdogConfig) Scenario {
+func stallScenario(t *testing.T, dur, stallAt, stallFor time.Duration, dog bool) Scenario {
 	t.Helper()
 	p := machine.E52690Server()
 	return Scenario{
@@ -64,11 +49,11 @@ func stallScenario(t *testing.T, dur, stallAt, stallFor time.Duration, dog *Watc
 // degrade to the hardware-only floor, and recover the lost throughput —
 // without letting power breach the cap.
 func TestWatchdogRescuesStalledWalk(t *testing.T) {
-	stalled, err := Run(stallScenario(t, 20*time.Second, 2*time.Second, 10*time.Minute, nil))
+	stalled, err := Run(stallScenario(t, 20*time.Second, 2*time.Second, 10*time.Minute, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := Run(stallScenario(t, 20*time.Second, 2*time.Second, 10*time.Minute, DefaultWatchdog()))
+	guarded, err := Run(stallScenario(t, 20*time.Second, 2*time.Second, 10*time.Minute, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +80,7 @@ func TestWatchdogRescuesStalledWalk(t *testing.T) {
 // TestWatchdogRecoversAfterTransientStall: once the stall clears, a probe
 // must succeed and return the supervision ladder to normal.
 func TestWatchdogRecoversAfterTransientStall(t *testing.T) {
-	res, err := Run(stallScenario(t, 30*time.Second, 2*time.Second, 4*time.Second, DefaultWatchdog()))
+	res, err := Run(stallScenario(t, 30*time.Second, 2*time.Second, 4*time.Second, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +110,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		Controller: control.NewRAPLOnly(),
 		Duration:   10 * time.Second,
 		Seed:       7,
-		Watchdog:   DefaultWatchdog(),
+		Watchdog:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +153,7 @@ func TestSupervisedSwallowsPanics(t *testing.T) {
 
 	guarded := base
 	guarded.Controller = &panicController{inner: control.NewRAPLOnly(), at: 3}
-	guarded.Watchdog = DefaultWatchdog()
+	guarded.Watchdog = true
 	res, err := Run(guarded)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ type dogHarness struct {
 	w   *world
 }
 
-func newDogHarness(t *testing.T, cfg WatchdogConfig) *dogHarness {
+func newDogHarness(t *testing.T) *dogHarness {
 	t.Helper()
 	prof, err := workload.ByName("blackscholes")
 	if err != nil {
@@ -35,7 +35,7 @@ func newDogHarness(t *testing.T, cfg WatchdogConfig) *dogHarness {
 	runner := sim.NewRunner(w)
 	w.clock = runner.Clock
 	w.faults.SetClock(w.now)
-	dog := newWatchdog(w, cfg.withDefaults())
+	dog := newWatchdog(w)
 	w.dog = dog
 	return &dogHarness{dog: dog, w: w}
 }
@@ -50,9 +50,6 @@ func (h *dogHarness) feedPower(from, to time.Duration, watts float64) {
 }
 
 func TestWatchdogBreachHoldBoundary(t *testing.T) {
-	cfg := *DefaultWatchdog()
-	period := cfg.Period
-
 	cases := []struct {
 		name string
 		// breachFor is how long the sustained breach has lasted when the
@@ -60,17 +57,17 @@ func TestWatchdogBreachHoldBoundary(t *testing.T) {
 		breachFor time.Duration
 		want      DegradeLevel
 	}{
-		{"one period short of hold", cfg.BreachHold - period, DegradeNormal},
-		{"exactly at hold", cfg.BreachHold, DegradeHardwareOnly},
-		{"past hold", cfg.BreachHold + period, DegradeHardwareOnly},
+		{"one period short of hold", breachHold - dogPeriod, DegradeNormal},
+		{"exactly at hold", breachHold, DegradeHardwareOnly},
+		{"past hold", breachHold + dogPeriod, DegradeHardwareOnly},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newDogHarness(t, cfg)
-			start := cfg.StartupGrace // first supervised tick
-			h.feedPower(0, start+tc.breachFor, h.w.capW*cfg.BreachFactor*1.1)
+			h := newDogHarness(t)
+			start := startupGrace // first supervised tick
+			h.feedPower(0, start+tc.breachFor, h.w.capW*breachFactor*1.1)
 			h.dog.onDecision(start) // decision loop is live; only power breaches
-			for now := start; now <= start+tc.breachFor; now += period {
+			for now := start; now <= start+tc.breachFor; now += dogPeriod {
 				h.dog.onDecision(now) // keep the stall path quiet
 				h.dog.Tick(now)
 			}
@@ -82,9 +79,6 @@ func TestWatchdogBreachHoldBoundary(t *testing.T) {
 }
 
 func TestWatchdogStallBoundary(t *testing.T) {
-	cfg := *DefaultWatchdog()
-	period := cfg.Period
-
 	cases := []struct {
 		name string
 		// silentFor is the decision loop's silence when the judged tick
@@ -92,16 +86,16 @@ func TestWatchdogStallBoundary(t *testing.T) {
 		silentFor time.Duration
 		want      DegradeLevel
 	}{
-		{"one period short of timeout", cfg.StallTimeout - period, DegradeNormal},
-		// The boundary is inclusive: silence of exactly StallTimeout is a
+		{"one period short of timeout", stallTimeout - dogPeriod, DegradeNormal},
+		// The boundary is inclusive: silence of exactly stallTimeout is a
 		// stall, mirroring the breach hold's >= judgement.
-		{"exactly at timeout", cfg.StallTimeout, DegradeHardwareOnly},
-		{"past timeout", cfg.StallTimeout + period, DegradeHardwareOnly},
+		{"exactly at timeout", stallTimeout, DegradeHardwareOnly},
+		{"past timeout", stallTimeout + dogPeriod, DegradeHardwareOnly},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newDogHarness(t, cfg)
-			start := cfg.StartupGrace
+			h := newDogHarness(t)
+			start := startupGrace
 			// Healthy power throughout: only staleness can degrade.
 			h.feedPower(0, start+tc.silentFor, h.w.capW*0.8)
 			h.dog.onDecision(start)
@@ -114,15 +108,13 @@ func TestWatchdogStallBoundary(t *testing.T) {
 }
 
 func TestWatchdogProbeAndBackoffLadder(t *testing.T) {
-	cfg := *DefaultWatchdog()
-	h := newDogHarness(t, cfg)
-	period := cfg.Period
-	start := cfg.StartupGrace
+	h := newDogHarness(t)
+	start := startupGrace
 
 	// Degrade via stall.
 	h.feedPower(0, start, h.w.capW*0.8)
 	h.dog.onDecision(start)
-	degradeAt := start + cfg.StallTimeout
+	degradeAt := start + stallTimeout
 	h.feedPower(start, degradeAt, h.w.capW*0.8)
 	h.dog.Tick(degradeAt)
 	if h.dog.level != DegradeHardwareOnly {
@@ -131,23 +123,23 @@ func TestWatchdogProbeAndBackoffLadder(t *testing.T) {
 
 	// One tick before the probe delay expires the dog must hold the floor;
 	// at expiry it must probe.
-	preProbe := degradeAt + cfg.ProbeBackoff - period
-	h.feedPower(degradeAt, preProbe+cfg.ProbeBackoff, h.w.capW*0.8)
+	preProbe := degradeAt + probeBackoff - dogPeriod
+	h.feedPower(degradeAt, preProbe+probeBackoff, h.w.capW*0.8)
 	h.dog.Tick(preProbe)
 	if h.dog.level != DegradeHardwareOnly {
 		t.Fatalf("before backoff expiry: level = %v", h.dog.level)
 	}
-	probeAt := degradeAt + cfg.ProbeBackoff
+	probeAt := degradeAt + probeBackoff
 	h.dog.Tick(probeAt)
 	if h.dog.level != DegradeProbing {
 		t.Fatalf("at backoff expiry: level = %v", h.dog.level)
 	}
 
-	// The probe stays silent: exactly StallTimeout later it must fail and
+	// The probe stays silent: exactly stallTimeout later it must fail and
 	// double the backoff.
-	failAt := probeAt + cfg.StallTimeout
+	failAt := probeAt + stallTimeout
 	h.feedPower(probeAt, failAt, h.w.capW*0.8)
-	h.dog.Tick(failAt - period)
+	h.dog.Tick(failAt - dogPeriod)
 	if h.dog.level != DegradeProbing {
 		t.Fatalf("one period before probe stall: level = %v", h.dog.level)
 	}
@@ -155,13 +147,13 @@ func TestWatchdogProbeAndBackoffLadder(t *testing.T) {
 	if h.dog.level != DegradeHardwareOnly {
 		t.Fatalf("stalled probe: level = %v", h.dog.level)
 	}
-	if want := 2 * cfg.ProbeBackoff; h.dog.backoff != want {
+	if want := 2 * probeBackoff; h.dog.backoff != want {
 		t.Fatalf("backoff after failed probe = %v, want %v", h.dog.backoff, want)
 	}
 
-	// A healthy probe must recover after exactly RecoveryHold.
+	// A healthy probe must recover after exactly recoveryHold.
 	probe2 := failAt + h.dog.backoff
-	h.feedPower(failAt, probe2+cfg.RecoveryHold+period, h.w.capW*0.8)
+	h.feedPower(failAt, probe2+recoveryHold+dogPeriod, h.w.capW*0.8)
 	h.dog.Tick(probe2)
 	if h.dog.level != DegradeProbing {
 		t.Fatalf("second probe: level = %v", h.dog.level)
@@ -170,20 +162,20 @@ func TestWatchdogProbeAndBackoffLadder(t *testing.T) {
 	if run, restart := h.dog.allowStep(probe2); !run || !restart {
 		t.Fatalf("probe step: run=%v restart=%v", run, restart)
 	}
-	for now := probe2; now < probe2+cfg.RecoveryHold; now += period {
+	for now := probe2; now < probe2+recoveryHold; now += dogPeriod {
 		h.dog.onDecision(now)
 		h.dog.Tick(now)
 		if h.dog.level != DegradeProbing {
-			t.Fatalf("at %v (hold ends %v): level = %v", now, probe2+cfg.RecoveryHold, h.dog.level)
+			t.Fatalf("at %v (hold ends %v): level = %v", now, probe2+recoveryHold, h.dog.level)
 		}
 	}
-	recoverAt := probe2 + cfg.RecoveryHold
+	recoverAt := probe2 + recoveryHold
 	h.dog.onDecision(recoverAt)
 	h.dog.Tick(recoverAt)
 	if h.dog.level != DegradeNormal {
 		t.Fatalf("after recovery hold: level = %v", h.dog.level)
 	}
-	if h.dog.backoff != cfg.ProbeBackoff {
+	if h.dog.backoff != probeBackoff {
 		t.Fatalf("backoff not reset: %v", h.dog.backoff)
 	}
 	if h.dog.capScale != 1 {
@@ -192,10 +184,9 @@ func TestWatchdogProbeAndBackoffLadder(t *testing.T) {
 }
 
 func TestWatchdogEscalationFloorsCapScale(t *testing.T) {
-	cfg := *DefaultWatchdog()
-	h := newDogHarness(t, cfg)
-	start := cfg.StartupGrace
-	hot := h.w.capW * cfg.BreachFactor * 1.2
+	h := newDogHarness(t)
+	start := startupGrace
+	hot := h.w.capW * breachFactor * 1.2
 
 	// Degrade on sustained breach, then keep breaching: every further
 	// sustained breach escalates the back-off until the floor.
@@ -204,7 +195,7 @@ func TestWatchdogEscalationFloorsCapScale(t *testing.T) {
 	h.feedPower(0, start+200*time.Second, hot)
 	deadline := start + 200*time.Second
 	for h.dog.level != DegradeBackoff && now < deadline {
-		now += cfg.Period
+		now += dogPeriod
 		h.dog.onDecision(now)
 		h.dog.Tick(now)
 	}
@@ -212,18 +203,18 @@ func TestWatchdogEscalationFloorsCapScale(t *testing.T) {
 		t.Fatal("never escalated to cap-backoff")
 	}
 	for now < deadline {
-		now += cfg.Period
+		now += dogPeriod
 		h.dog.onDecision(now)
 		h.dog.Tick(now)
 	}
-	if h.dog.capScale < cfg.MinCapScale-1e-12 {
-		t.Fatalf("cap scale %v fell below floor %v", h.dog.capScale, cfg.MinCapScale)
+	if h.dog.capScale < minCapScale-1e-12 {
+		t.Fatalf("cap scale %v fell below floor %v", h.dog.capScale, minCapScale)
 	}
-	if h.dog.capScale > cfg.MinCapScale+1e-12 {
-		t.Fatalf("cap scale %v never reached floor %v under permanent breach", h.dog.capScale, cfg.MinCapScale)
+	if h.dog.capScale > minCapScale+1e-12 {
+		t.Fatalf("cap scale %v never reached floor %v under permanent breach", h.dog.capScale, minCapScale)
 	}
-	if h.dog.backoff > cfg.MaxBackoff {
-		t.Fatalf("backoff %v exceeds max %v", h.dog.backoff, cfg.MaxBackoff)
+	if h.dog.backoff > maxBackoff {
+		t.Fatalf("backoff %v exceeds max %v", h.dog.backoff, maxBackoff)
 	}
 }
 
@@ -238,7 +229,7 @@ func TestWatchdogPanicCounting(t *testing.T) {
 		CapWatts:   120,
 		Controller: &panicEveryStep{},
 		Duration:   4 * time.Second,
-		Watchdog:   DefaultWatchdog(),
+		Watchdog:   true,
 		NoNoise:    true,
 		Seed:       3,
 	})

@@ -210,9 +210,7 @@ func (h *harness) runChaosCell(ctx context.Context, cfg Config, v chaosVariant, 
 		Duration:   chaosDuration(cfg),
 		Seed:       h.cfg.Seed ^ seedFor("chaos", v.name, p.name),
 		Faults:     p.faults,
-	}
-	if v.watchdog {
-		sc.Watchdog = driver.DefaultWatchdog()
+		Watchdog:   v.watchdog,
 	}
 	res, err := driver.RunContext(ctx, sc)
 	if err != nil {

@@ -370,60 +370,32 @@ func TestTable4ListsAllMixes(t *testing.T) {
 	}
 }
 
+// TestRenderedTablesComplete: the registry renders each paper table from
+// the quick grids in the paper's shape — one table per cap or scenario, and
+// one row per cap or application.
 func TestRenderedTablesComplete(t *testing.T) {
 	cfg := quickCfg()
-	t3, err := Table3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t3.Rows) != len(cfg.Caps()) {
-		t.Errorf("Table 3 rows = %d, want one per cap", len(t3.Rows))
-	}
-	f3, err := Fig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f3) != len(cfg.Caps()) {
-		t.Errorf("Fig 3 tables = %d, want one per cap", len(f3))
-	}
-	// Per-app rows plus the harmonic mean row.
-	if len(f3[0].Rows) != len(cfg.Apps())+1 {
-		t.Errorf("Fig 3 rows = %d, want %d", len(f3[0].Rows), len(cfg.Apps())+1)
-	}
-	f6, err := Fig6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f6) != 2 {
-		t.Errorf("Fig 6 tables = %d, want one per scenario", len(f6))
-	}
-	f7, err := Fig7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f7) != len(cfg.Caps()) {
-		t.Errorf("Fig 7 tables = %d", len(f7))
-	}
-	f8, err := Fig8(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f8) != 2 {
-		t.Errorf("Fig 8 tables = %d", len(f8))
-	}
-	t5, err := Table5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t5.Rows) != len(cfg.Caps()) {
-		t.Errorf("Table 5 rows = %d", len(t5.Rows))
-	}
-	t6, err := Table6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t6.Rows) == 0 {
-		t.Error("Table 6 empty")
+	caps, apps := len(cfg.Caps()), len(cfg.Apps())
+	for _, c := range []struct {
+		name         string
+		tables, rows int // rows of the first table; 0 is any non-zero count
+	}{
+		{"table3", 1, caps},
+		{"fig3", caps, apps + 1}, // per-app rows plus the harmonic mean row
+		{"fig6", 2, 0},           // one table per scenario
+		{"fig7", caps, 0},
+		{"fig8", 2, 0},
+		{"table5", 1, caps},
+		{"table6", 1, 0},
+	} {
+		outs := runExperiment(t, c.name)
+		if len(outs) != c.tables {
+			t.Errorf("%s: %d tables, want %d", c.name, len(outs), c.tables)
+			continue
+		}
+		if rows := len(outs[0].Table.Rows); rows == 0 || c.rows != 0 && rows != c.rows {
+			t.Errorf("%s: %d rows in its first table, want %d", c.name, rows, c.rows)
+		}
 	}
 }
 

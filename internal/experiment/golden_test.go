@@ -55,28 +55,33 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// checkExperimentGolden renders the named registry entry at the quick
-// config and pins each of its tables byte for byte against
-// testdata/golden/<File>_quick.csv. Grids are memoized, so alongside the
-// rest of the package's tests this costs only the render.
-func checkExperimentGolden(t *testing.T, name string) {
+// runExperiment renders the named registry entry at the quick config.
+// Grids are memoized, so alongside the rest of the package's tests this
+// costs only the render.
+func runExperiment(t *testing.T, name string) []Output {
 	t.Helper()
 	for _, e := range Experiments() {
-		if e.Name != name {
-			continue
-		}
-		outs, err := e.Run(context.Background(), quickCfg(), RunOpts{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, o := range outs {
-			if o.Table != nil {
-				checkGolden(t, o.File+"_quick.csv", goldenCSV(o.Table))
+		if e.Name == name {
+			outs, err := e.Run(context.Background(), quickCfg(), RunOpts{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			return outs
 		}
-		return
 	}
 	t.Fatalf("no experiment named %q", name)
+	return nil
+}
+
+// checkExperimentGolden pins each table of the named registry entry byte
+// for byte against testdata/golden/<File>_quick.csv.
+func checkExperimentGolden(t *testing.T, name string) {
+	t.Helper()
+	for _, o := range runExperiment(t, name) {
+		if o.Table != nil {
+			checkGolden(t, o.File+"_quick.csv", goldenCSV(o.Table))
+		}
+	}
 }
 
 // TestExperimentsGolden pins every table of every registered experiment,

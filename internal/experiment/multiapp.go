@@ -183,10 +183,8 @@ func Table4() *report.Table {
 	return t
 }
 
-// Table5 renders the harmonic-mean PUPiL:RAPL performance ratio per cap
-// for both scenarios.
-func Table5(cfg Config) (*report.Table, error) { return rendered(multiGrid, cfg, table5From) }
-
+// table5From renders the harmonic-mean PUPiL:RAPL performance ratio per
+// cap for both scenarios.
 func table5From(d *MultiAppData) *report.Table {
 	means := table5Means(d)
 	t := report.NewTable("Table 5: Ratio of PUPiL to RAPL Performance",
@@ -221,15 +219,11 @@ func table5Means(d *MultiAppData) map[string]map[float64]float64 {
 	return out
 }
 
-// Fig6 renders the per-mix PUPiL:RAPL performance ratios, one table per
-// scenario with caps as columns.
-func Fig6(cfg Config) ([]*report.Table, error) { return rendered(multiGrid, cfg, fig6From) }
-
+// fig6From renders the per-mix PUPiL:RAPL performance ratios, one table
+// per scenario with caps as columns.
 func fig6From(d *MultiAppData) []*report.Table { return ratioTables(d, "Fig 6", d.Ratio) }
 
-// Fig8 renders the per-mix PUPiL:RAPL energy-efficiency ratios.
-func Fig8(cfg Config) ([]*report.Table, error) { return rendered(multiGrid, cfg, fig8From) }
-
+// fig8From renders the per-mix PUPiL:RAPL energy-efficiency ratios.
 func fig8From(d *MultiAppData) []*report.Table { return ratioTables(d, "Fig 8", d.EfficiencyRatio) }
 
 func ratioTables(d *MultiAppData, label string, cell func(string, float64, workload.Mix) float64) []*report.Table {
@@ -264,11 +258,9 @@ func ratioTables(d *MultiAppData, label string, cell func(string, float64, workl
 // Table6Mixes are the three mixes the paper inspects with VTune.
 func Table6Mixes() []string { return []string{"mix7", "mix8", "mix12"} }
 
-// Table6 renders spin cycles and achieved memory bandwidth for the mixes
-// where PUPiL's advantage is largest, under the oblivious scenario at the
-// 140 W cap.
-func Table6(cfg Config) (*report.Table, error) { return rendered(multiGrid, cfg, table6From) }
-
+// table6From renders spin cycles and achieved memory bandwidth for the
+// mixes where PUPiL's advantage is largest, under the oblivious scenario at
+// the 140 W cap.
 func table6From(d *MultiAppData) *report.Table {
 	t := report.NewTable("Table 6: PUPiL and RAPL Multiapp Low-Level Counters (oblivious, 140W)",
 		"Workload", "Spin% RAPL", "Spin% PUPiL", "BW RAPL (GB/s)", "BW PUPiL (GB/s)")

@@ -205,10 +205,8 @@ func (d *SingleAppData) feasible(tech string, capW float64) bool {
 	return true
 }
 
-// Table3 renders the harmonic-mean normalized performance per cap and
+// table3From renders the harmonic-mean normalized performance per cap and
 // technique.
-func Table3(cfg Config) (*report.Table, error) { return rendered(singleGrid, cfg, table3From) }
-
 func table3From(d *SingleAppData) *report.Table {
 	t := report.NewTable("Table 3: Comparison of Harmonic Mean Performance (normalized to optimal)",
 		append([]string{"Power Cap"}, Techniques()...)...)
@@ -273,10 +271,8 @@ func Fig4Techs() []string {
 	return []string{TechRAPL, TechSoftDVFS, TechSoftDecision, TechPUPiL}
 }
 
-// Fig4 renders settling times (ms) per application at the 140 W cap, plus
-// the cross-application average.
-func Fig4(cfg Config) (*report.Table, error) { return rendered(singleGrid, cfg, fig4From) }
-
+// fig4From renders settling times (ms) per application at the 140 W cap,
+// plus the cross-application average.
 func fig4From(d *SingleAppData) *report.Table {
 	const capW = 140.0
 	t := report.NewTable("Fig 4: Settling time (ms) at the 140W cap",
@@ -369,10 +365,8 @@ func fig5From(d *SingleAppData) ([]Fig5Row, *report.Table) {
 	return rows, t
 }
 
-// Fig7 renders energy efficiency normalized to optimal, one table per cap
-// (Soft-Modeling is omitted, as in the paper's figure).
-func Fig7(cfg Config) ([]*report.Table, error) { return rendered(singleGrid, cfg, fig7From) }
-
+// fig7From renders energy efficiency normalized to optimal, one table per
+// cap (Soft-Modeling is omitted, as in the paper's figure).
 func fig7From(d *SingleAppData) []*report.Table {
 	return d.perCapTables("Fig 7 (%0.fW): energy efficiency normalized to optimal",
 		[]string{TechRAPL, TechSoftDVFS, TechSoftDecision, TechPUPiL}, d.NormalizedEfficiency)

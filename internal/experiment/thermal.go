@@ -178,15 +178,13 @@ func runThermalCell(ctx context.Context, cfg Config, tech string, e thermalEnv, 
 		return ThermalRecord{}, err
 	}
 	sc := driver.Scenario{
-		Platform:   plat,
-		Specs:      []workload.Spec{{Profile: prof, Threads: thermalThreads}},
-		CapWatts:   thermalCap,
-		Controller: ctrl,
-		Duration:   thermalDuration(cfg),
-		Seed:       cfg.Seed ^ seedFor("thermal", tech, e.name, mode),
-	}
-	if mode == modeGovernor {
-		sc.ThermalGovernor = driver.DefaultThermalGovernor()
+		Platform:        plat,
+		Specs:           []workload.Spec{{Profile: prof, Threads: thermalThreads}},
+		CapWatts:        thermalCap,
+		Controller:      ctrl,
+		Duration:        thermalDuration(cfg),
+		Seed:            cfg.Seed ^ seedFor("thermal", tech, e.name, mode),
+		ThermalGovernor: mode == modeGovernor,
 	}
 	res, err := driver.RunContext(ctx, sc)
 	if err != nil {

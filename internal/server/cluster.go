@@ -705,10 +705,6 @@ func buildCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	// The served cluster reads its coordinator only through trailing
-	// means over one epoch and never asks for its Result, so the
-	// coordinator's own traces keep only that window.
-	coord.Retain(epochSim)
 	c.coord = coord
 	c.healthOn = cfg.Health != nil
 	c.nodeDomains = coord.NodeDomains()

@@ -580,20 +580,16 @@ func buildSession(cfg NodeConfig) (*driver.Session, NodeConfig, []string, error)
 		apps[i] = s.Profile.Name
 	}
 	sc := driver.Scenario{
-		Platform:   plat,
-		Specs:      specs,
-		CapWatts:   cfg.CapWatts,
-		Controller: ctrl,
-		Seed:       cfg.Seed,
+		Platform:        plat,
+		Specs:           specs,
+		CapWatts:        cfg.CapWatts,
+		Controller:      ctrl,
+		Seed:            cfg.Seed,
+		Watchdog:        cfg.Watchdog,
+		ThermalGovernor: cfg.ThermalGovernor,
 	}
 	for _, f := range cfg.Faults {
 		sc.Faults = append(sc.Faults, f.scenario())
-	}
-	if cfg.Watchdog {
-		sc.Watchdog = driver.DefaultWatchdog()
-	}
-	if cfg.ThermalGovernor {
-		sc.ThermalGovernor = driver.DefaultThermalGovernor()
 	}
 	sess, err := driver.NewSession(sc)
 	if err != nil {

@@ -85,14 +85,6 @@ func (s *Series) Grow(n int) {
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.Samples) }
 
-// Last returns the most recent sample, or a zero Sample when empty.
-func (s *Series) Last() Sample {
-	if len(s.Samples) == 0 {
-		return Sample{}
-	}
-	return s.Samples[len(s.Samples)-1]
-}
-
 // Between returns the samples with from <= T < to. The returned slice
 // aliases the series storage and must not be mutated.
 func (s *Series) Between(from, to time.Duration) []Sample {
