@@ -35,7 +35,7 @@ type nodeChaos struct {
 }
 
 // chaosState tracks every node's cluster-scoped fault schedule and the
-// fleet-wide transition log. The coordinator mutates it only between
+// fleet-wide transition log, bounded by boundEvents. The coordinator mutates it only between
 // steps (injection) or in the single-threaded post-sweep phase (advance);
 // the queries sweep cells run concurrently are pure functions of the
 // immutable scenario list and the query time, so no synchronization is
@@ -108,7 +108,7 @@ func (cs *chaosState) advance(t time.Duration) {
 		for j, sc := range nc.scenarios {
 			if act := sc.ActiveAt(t); act != nc.active[j] {
 				nc.active[j] = act
-				cs.events = append(cs.events, ChaosEvent{T: t, Node: i, Scenario: sc, Active: act})
+				cs.events = append(boundEvents(cs.events), ChaosEvent{T: t, Node: i, Scenario: sc, Active: act})
 			}
 		}
 	}
@@ -183,7 +183,8 @@ func (c *Coordinator) NodeFaultsActive(i int) int {
 	return c.chaos.activeCount(i, c.now)
 }
 
-// ChaosEvents returns a copy of the cluster-scoped fault transition log.
+// ChaosEvents returns a copy of the cluster-scoped fault transition log:
+// the most recent transitions, at most eventLogCap of them.
 func (c *Coordinator) ChaosEvents() []ChaosEvent {
 	return append([]ChaosEvent(nil), c.chaos.events...)
 }

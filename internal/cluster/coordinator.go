@@ -77,11 +77,13 @@ type Coordinator struct {
 	means []nodeMeans
 
 	// Cluster-scoped fault schedule and the health layer (hcfg nil when
-	// health tracking is disabled).
+	// health tracking is disabled). healthEvents is bounded (boundEvents);
+	// transitions counts every transition, dropped ones included.
 	chaos        chaosState
 	hcfg         *HealthConfig
 	health       []nodeHealth
 	healthEvents []HealthEvent
+	transitions  int
 
 	// Quarantine-aware leaf rebalance scratch: the healthy subset's
 	// indices and policy slices, reused every epoch.

@@ -150,10 +150,25 @@ func (c *Coordinator) benched(i int) bool {
 // transition logs and applies one state change.
 func (c *Coordinator) transition(i int, to HealthState, reason string) {
 	h := &c.health[i]
-	c.healthEvents = append(c.healthEvents, HealthEvent{
+	c.healthEvents = append(boundEvents(c.healthEvents), HealthEvent{
 		T: c.now, Node: i, From: h.state, To: to, Reason: reason,
 	})
+	c.transitions++
 	h.state = to
+}
+
+// eventLogCap bounds the health and chaos event logs. A served cluster
+// runs indefinitely and a flapping node adds events every epoch, so when a
+// log reaches the cap its oldest half is dropped in place and later
+// appends reuse the backing array, as a session bounds its op log.
+const eventLogCap = 1024
+
+// boundEvents makes room in log, in place, before an append.
+func boundEvents[E any](log []E) []E {
+	if len(log) < eventLogCap {
+		return log
+	}
+	return log[:copy(log, log[len(log)-eventLogCap/2:])]
 }
 
 // updateHealth runs the state machine over the epoch that just completed:
@@ -272,10 +287,15 @@ func (c *Coordinator) ReclaimedWatts() float64 {
 	return w
 }
 
-// HealthEvents returns a copy of the state-transition log.
+// HealthEvents returns a copy of the state-transition log: the most recent
+// transitions, at most eventLogCap of them.
 func (c *Coordinator) HealthEvents() []HealthEvent {
 	return append([]HealthEvent(nil), c.healthEvents...)
 }
+
+// HealthTransitions counts every state transition since the coordinator
+// was built, including those the bounded log has dropped.
+func (c *Coordinator) HealthTransitions() int { return c.transitions }
 
 // HealthStates fills dst (growing it as needed) with every node's current
 // state and returns it; nil input allocates. Returns nil when health

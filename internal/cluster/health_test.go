@@ -703,3 +703,63 @@ func TestChaosClusterPropertyInvariants(t *testing.T) {
 		t.Fatalf("%.3f W still reclaimed after full recovery", w)
 	}
 }
+
+// TestEventLogsBounded: a node that flaps all day adds a health event
+// every epoch; the log keeps at most eventLogCap of the latest ones while
+// HealthTransitions keeps counting them all.
+func TestEventLogsBounded(t *testing.T) {
+	c, err := NewCoordinator(Config{
+		Nodes:       lightCluster(t),
+		BudgetWatts: 200,
+		Epoch:       time.Second,
+		Seed:        3,
+		Health:      healthOn(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InjectNodeFault(0, faults.Scenario{Kind: faults.KindFlap, Target: faults.TargetNode, Duration: 24 * time.Hour, Magnitude: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 4000
+	for e := 0; e < epochs; e++ {
+		if err := c.Step(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := c.HealthEvents()
+	if n := c.HealthTransitions(); n < 2*eventLogCap {
+		t.Fatalf("only %d transitions in %d epochs: the flap no longer overflows the log", n, epochs)
+	}
+	if len(events) > eventLogCap {
+		t.Fatalf("health log holds %d events, cap %d", len(events), eventLogCap)
+	}
+	if last := events[len(events)-1]; last.T != c.now {
+		t.Fatalf("newest logged event at %v, want the last epoch's %v", last.T, c.now)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].T < events[i-1].T {
+			t.Fatalf("health log out of order at %d: %v after %v", i, events[i].T, events[i-1].T)
+		}
+	}
+}
+
+// TestChaosLogBounded: onsets and clearances of many short scenarios keep
+// at most eventLogCap of the latest in the chaos log.
+func TestChaosLogBounded(t *testing.T) {
+	cs := chaosState{nodes: make([]nodeChaos, 1)}
+	const scenarios = 1500
+	for k := 0; k < scenarios; k++ {
+		cs.schedule(0, faults.Scenario{Kind: faults.KindCrash, Target: faults.TargetNode, Onset: time.Duration(2*k) * time.Second, Duration: time.Second})
+	}
+	for s := 0; s <= 2*scenarios; s++ {
+		cs.advance(time.Duration(s) * time.Second)
+		if len(cs.events) > eventLogCap {
+			t.Fatalf("at %d s the chaos log holds %d events, cap %d", s, len(cs.events), eventLogCap)
+		}
+	}
+	last := cs.events[len(cs.events)-1]
+	if last.T != time.Duration(2*scenarios-1)*time.Second || last.Active {
+		t.Fatalf("newest logged event %+v, want the last clearance", last)
+	}
+}

@@ -38,8 +38,13 @@ func TrainSoftModeling(p *machine.Platform, seed uint64) (*SoftModeling, error) 
 	rng := sim.NewRNG(seed)
 	profiles := trainingMix(rng)
 
-	var feats [][]float64
-	var powers, perfs []float64
+	// One backing array holds every sample's features; each row is a
+	// full-capacity slice of it.
+	const samples = 96
+	n := len(profiles) * samples
+	backing := make([]float64, 0, n*numFeatures)
+	feats := make([][]float64, 0, n)
+	powers, perfs := make([]float64, 0, n), make([]float64, 0, n)
 	for _, prof := range profiles {
 		apps, err := workload.NewInstances([]workload.Spec{{Profile: prof, Threads: 32}})
 		if err != nil {
@@ -49,25 +54,22 @@ func TrainSoftModeling(p *machine.Platform, seed uint64) (*SoftModeling, error) 
 		// evaluator: its cached evaluations are bit-identical to one-shot
 		// ones and skip rebuilding its buffers per sample.
 		eval := system.NewEvaluator(p, apps)
-		for i := 0; i < 96; i++ {
+		for i := 0; i < samples; i++ {
 			cfg := randomConfig(p, rng)
 			ev := eval.Eval(cfg, 0)
 			// Profiling measurements carry noise too.
 			noise := func() float64 { return 1 + 0.02*rng.NormFloat64() }
-			feats = append(feats, features(p, cfg))
+			backing = appendFeatures(backing, p, cfg)
+			feats = append(feats, backing[len(backing)-numFeatures:len(backing):len(backing)])
 			powers = append(powers, ev.PowerTotal*noise())
 			perfs = append(perfs, ev.TotalRate()*noise())
 		}
 	}
-	pm, err := regress.Fit(feats, powers, 1e-6)
+	ms, err := regress.FitEach(feats, 1e-6, powers, perfs)
 	if err != nil {
 		return nil, err
 	}
-	fm, err := regress.Fit(feats, perfs, 1e-6)
-	if err != nil {
-		return nil, err
-	}
-	return &SoftModeling{power: pm, perf: fm}, nil
+	return &SoftModeling{power: ms[0], perf: ms[1]}, nil
 }
 
 // trainingMix returns the synthetic profiling applications: scalable
@@ -107,27 +109,31 @@ func randomConfig(p *machine.Platform, rng *sim.RNG) machine.Config {
 	return cfg
 }
 
-// features maps a configuration to the regression's design vector:
-// intercept, the five resources, and the interactions that dominate power
-// (active cores x speed, and quadratic speed for the V^2*f curvature).
-func features(p *machine.Platform, cfg machine.Config) []float64 {
+// numFeatures is the length of the regression's design vector.
+const numFeatures = 9
+
+// appendFeatures appends the regression's design vector of a configuration
+// to dst: intercept, the five resources, and the interactions that dominate
+// power (active cores x speed, and quadratic speed for the V^2*f
+// curvature).
+func appendFeatures(dst []float64, p *machine.Platform, cfg machine.Config) []float64 {
 	ghz := cfg.MeanGHz(p)
 	cores := float64(cfg.TotalCores())
 	ht := 0.0
 	if cfg.HT {
 		ht = 1
 	}
-	return []float64{
+	return append(dst,
 		1,
 		float64(cfg.Cores),
 		float64(cfg.Sockets),
 		ht,
 		float64(cfg.MemCtls),
 		ghz,
-		cores * ghz,
-		cores * ghz * ghz,
-		ht * cores,
-	}
+		cores*ghz,
+		cores*ghz*ghz,
+		ht*cores,
+	)
 }
 
 // Clone returns a controller sharing the fitted (immutable) power and
@@ -151,8 +157,9 @@ func (c *SoftModeling) Start(env core.Env) {
 	c.lastCap = env.CapWatts()
 	p := env.Platform()
 	best, bestPerf := machine.MinimalConfig(p), -1.0
+	x := make([]float64, 0, numFeatures)
 	machine.Enumerate(p, func(cfg machine.Config) bool {
-		x := features(p, cfg)
+		x = appendFeatures(x[:0], p, cfg)
 		if c.power.Predict(x) > env.CapWatts() {
 			return true
 		}

@@ -106,6 +106,45 @@ func TestPUPiLBeatsRAPLOnX264(t *testing.T) {
 	}
 }
 
+// TestFirmwareDithersAcrossTurboGap: under PUPiL at 140 W the mix's
+// socket 0 settles in the 2.9 -> 3.8 GHz turbo gap, which is wider than
+// one slew-limited solve. The firmware's climb rule is what crosses it:
+// the operating point alternates between the top p-state and turbo, one
+// rung at a time and always at full duty, rather than sticking below the
+// gap or falling back on duty modulation.
+func TestFirmwareDithersAcrossTurboGap(t *testing.T) {
+	plat := machine.E52690Server()
+	res, err := Run(Scenario{
+		Platform: plat,
+		Specs:    specs(t, 32, "kmeans", "dijkstra", "x264", "STREAM"),
+		CapWatts: 140, Controller: core.NewPUPiL(core.DefaultOrdered(plat)),
+		Duration: 25 * time.Second, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	turbo := plat.NumFreqSettings() - 1
+	visits := map[int]int{}
+	prev := -1
+	for _, ev := range res.OpLog {
+		if ev.T <= 4*time.Second || ev.Socket != 0 {
+			continue
+		}
+		if ev.Duty != 1 {
+			t.Fatalf("at %v socket 0 runs rung %d at duty %v, want full duty", ev.T, ev.FreqIdx, ev.Duty)
+		}
+		if prev >= 0 && ev.FreqIdx != prev+1 && ev.FreqIdx != prev-1 {
+			t.Fatalf("at %v socket 0 moved from rung %d to %d, want one rung", ev.T, prev, ev.FreqIdx)
+		}
+		prev = ev.FreqIdx
+		visits[ev.FreqIdx]++
+	}
+	if visits[turbo-1] < 25 || visits[turbo] < 25 {
+		t.Fatalf("socket 0 visited the top p-state %d times and turbo %d times after 4 s (all visits %v), want at least 25 each",
+			visits[turbo-1], visits[turbo], visits)
+	}
+}
+
 func TestSoftDVFSSettlesSlowerThanRAPL(t *testing.T) {
 	res := runOne(t, control.NewSoftDVFS(), 140, 60*time.Second, "x264")
 	if !res.Settled {

@@ -99,32 +99,6 @@ func TestProbeWalkerTrace(t *testing.T) {
 	}
 }
 
-func TestProbeOpLog(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration probe")
-	}
-	plat := machine.E52690Server()
-	res, err := Run(Scenario{
-		Platform: plat,
-		Specs:    specs(t, 32, "kmeans", "dijkstra", "x264", "STREAM"),
-		CapWatts: 140, Controller: core.NewPUPiL(core.DefaultOrdered(plat)),
-		Duration: 25 * time.Second, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, ev := range res.OpLog {
-		if ev.T > 4*time.Second && ev.Socket == 0 {
-			t.Logf("%8v s%d f=%2d duty=%.2f", ev.T, ev.Socket, ev.FreqIdx, ev.Duty)
-			n++
-			if n > 30 {
-				break
-			}
-		}
-	}
-}
-
 func TestProbeCoopMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe")

@@ -182,6 +182,6 @@ func runFleet(ctx context.Context, cfg Config, run fleetRun) (fleetResult, error
 	res.meanRate = rateSum / float64(samples)
 	res.meanStranded = strandedSum / float64(samples)
 	res.final = sn
-	res.healthEvents = len(coord.HealthEvents())
+	res.healthEvents = coord.HealthTransitions()
 	return res, nil
 }

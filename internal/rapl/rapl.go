@@ -98,6 +98,10 @@ type Firmware struct {
 	freqIdx int
 	duty    float64
 	started bool
+
+	// rungs decides full-duty retunes without pow; looked up at the first
+	// one (see rungTable).
+	rungs *rungTable
 }
 
 // NewFirmware builds the firmware for one socket. rng must be a dedicated
@@ -225,10 +229,6 @@ func (f *Firmware) estimate() float64 {
 // at or below target, using the internal P ~ f^Alpha model around the
 // current estimate.
 func (f *Firmware) retune(est, target float64) {
-	cur := f.effectiveSpeed()
-	if cur <= 0 {
-		cur = f.plat.MinGHz() * 0.05
-	}
 	if est <= 0 {
 		// Nothing measurable; open the throttle gently.
 		f.stepUp()
@@ -248,6 +248,22 @@ func (f *Firmware) retune(est, target float64) {
 		ratio = 1.6
 	} else if ratio < 0.4 {
 		ratio = 0.4
+	}
+	// From a full-duty rung the table takes the step the solve below would
+	// take, without its two pows; it declines the few ratios it cannot
+	// decide exactly, and duty modulation always runs the solve.
+	if f.duty == 1 {
+		if f.rungs == nil {
+			f.rungs = tableFor(f.plat, f.cfg.Alpha)
+		}
+		if j, ok := f.rungs.step(f.freqIdx, ratio, est, target); ok {
+			f.freqIdx = j
+			return
+		}
+	}
+	cur := f.effectiveSpeed()
+	if cur <= 0 {
+		cur = f.plat.MinGHz() * 0.05
 	}
 	// Invert the internal model: f_new = f_cur * ratio^(1/alpha). The
 	// socket has a static floor the model cannot remove, so convergence

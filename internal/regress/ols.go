@@ -25,49 +25,73 @@ var ErrSingular = errors.New("regress: singular design matrix")
 // all rows must have equal length. A small ridge (e.g. 1e-9) keeps nearly
 // collinear designs solvable.
 func Fit(x [][]float64, y []float64, ridge float64) (Model, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return Model{}, fmt.Errorf("regress: %d observations vs %d targets", len(x), len(y))
+	ms, err := FitEach(x, ridge, y)
+	if err != nil {
+		return Model{}, err
+	}
+	return ms[0], nil
+}
+
+// FitEach fits one model per target in ys over the same observations x,
+// as Fit would fit each, accumulating X'X once for all of them.
+func FitEach(x [][]float64, ridge float64, ys ...[]float64) ([]Model, error) {
+	for _, y := range ys {
+		if len(x) != len(y) {
+			return nil, fmt.Errorf("regress: %d observations vs %d targets", len(x), len(y))
+		}
+	}
+	if len(x) == 0 {
+		return nil, errors.New("regress: no observations")
 	}
 	d := len(x[0])
 	if d == 0 {
-		return Model{}, errors.New("regress: empty feature vectors")
+		return nil, errors.New("regress: empty feature vectors")
 	}
 	for i, row := range x {
 		if len(row) != d {
-			return Model{}, fmt.Errorf("regress: row %d has %d features, want %d", i, len(row), d)
+			return nil, fmt.Errorf("regress: row %d has %d features, want %d", i, len(row), d)
 		}
 	}
 	if len(x) < d {
-		return Model{}, fmt.Errorf("regress: %d observations cannot determine %d coefficients", len(x), d)
+		return nil, fmt.Errorf("regress: %d observations cannot determine %d coefficients", len(x), d)
 	}
-
-	// Normal equations: (X'X + ridge*I) w = X'y.
+	// Normal equations: (X'X + ridge*I) w = X'y. X'X is symmetric, so
+	// accumulate its upper triangle and mirror it: IEEE multiplication
+	// commutes and the rows are summed in the same order, so every
+	// mirrored entry has the bits of a full accumulation.
 	a := make([][]float64, d)
-	b := make([]float64, d)
 	for i := range a {
 		a[i] = make([]float64, d)
 	}
 	for _, row := range x {
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				a[i][j] += row[i] * row[j]
+		for i, ri := range row {
+			ai := a[i]
+			for j := i; j < d; j++ {
+				ai[j] += ri * row[j]
 			}
 		}
 	}
-	for k, row := range x {
-		for i := 0; i < d; i++ {
-			b[i] += row[i] * y[k]
-		}
-	}
 	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			a[j][i] = a[i][j]
+		}
 		a[i][i] += ridge
 	}
-
-	w, err := solve(a, b)
-	if err != nil {
-		return Model{}, err
+	models := make([]Model, len(ys))
+	for m, y := range ys {
+		b := make([]float64, d)
+		for k, row := range x {
+			for i := 0; i < d; i++ {
+				b[i] += row[i] * y[k]
+			}
+		}
+		w, err := solve(a, b)
+		if err != nil {
+			return nil, err
+		}
+		models[m] = Model{Coef: w}
 	}
-	return Model{Coef: w}, nil
+	return models, nil
 }
 
 // solve performs Gaussian elimination with partial pivoting on a copy of

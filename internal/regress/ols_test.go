@@ -110,3 +110,64 @@ func TestFitNeverWorseThanMeanProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fullFit is Fit as it was before FitEach: the whole of X'X accumulated
+// for each target.
+func fullFit(x [][]float64, y []float64, ridge float64) ([]float64, error) {
+	d := len(x[0])
+	a := make([][]float64, d)
+	b := make([]float64, d)
+	for i := range a {
+		a[i] = make([]float64, d)
+	}
+	for _, row := range x {
+		for i := 0; i < d; i++ {
+			for j := 0; j < d; j++ {
+				a[i][j] += row[i] * row[j]
+			}
+		}
+	}
+	for k, row := range x {
+		for i := 0; i < d; i++ {
+			b[i] += row[i] * y[k]
+		}
+	}
+	for i := 0; i < d; i++ {
+		a[i][i] += ridge
+	}
+	return solve(a, b)
+}
+
+// TestFitEachMatchesFullAccumulation holds FitEach, which accumulates X'X
+// once as a mirrored upper triangle for all targets, to fits that
+// accumulate the whole matrix per target: every coefficient keeps its
+// bits.
+func TestFitEachMatchesFullAccumulation(t *testing.T) {
+	rng := sim.NewRNG(11)
+	var x [][]float64
+	var y1, y2 []float64
+	for i := 0; i < 300; i++ {
+		row := []float64{1}
+		for j := 1; j < 9; j++ {
+			row = append(row, rng.NormFloat64()*math.Pow(10, float64(j%4)))
+		}
+		x = append(x, row)
+		y1 = append(y1, 3*row[1]-row[5]+rng.NormFloat64())
+		y2 = append(y2, row[2]*row[3]+0.1*rng.NormFloat64())
+	}
+	ms, err := FitEach(x, 1e-6, y1, y2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, y := range [][]float64{y1, y2} {
+		want, err := fullFit(x, y, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			if got := ms[k].Coef[i]; math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("target %d coef[%d] = %v, full accumulation gives %v", k, i, got, w)
+			}
+		}
+	}
+}
